@@ -27,8 +27,9 @@ from .reports import MomentReport
 PAIRS = frozenset({2})
 ORACLE_SIZES = frozenset({2, 3, 4})
 
-#: The partition oracle enumerates the full lattice on [4d]; degrees above
-#: this are closed-form territory.
+#: The partition oracle counts the interval-respecting classes on [4d] by
+#: incidence type instead of listing them, and contracts every type; degrees
+#: above this are closed-form territory.
 ORACLE_MAX_DEGREE = 4
 
 
@@ -123,10 +124,12 @@ def classical_fourth_moment_formula(
 
 
 def classical_fourth_moment_oracle(kernel: Kernel, law: ClassicalLaw) -> MomentReport:
-    """Ground-truth ``E[Q_X(f)^4]``: enumerate every partition of the 4d
+    """Ground-truth ``E[Q_X(f)^4]``: sum over every partition of the 4d
     positions that respects the four index groups with block sizes in
-    {2, 3, 4}, weight each by the product of blockwise cumulants, and contract
-    the four kernel copies over block-constant index assignments."""
+    {2, 3, 4}, weighted by the product of blockwise cumulants, of the four
+    kernel copies contracted over block-constant index assignments.  The
+    partitions are counted per incidence type, not listed, so each distinct
+    contraction runs once."""
     d = kernel.d
     if d > ORACLE_MAX_DEGREE:
         raise GroundCapExceeded(

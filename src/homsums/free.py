@@ -238,11 +238,6 @@ def free_third_moment_oracle(kernel: Kernel, law: FreeLaw) -> MomentReport:
     )
 
 
-def free_kappa4_of_sum(kernel: Kernel, law: FreeLaw) -> Fraction:
-    """``kappa_4(Q_Y(f)) = phi(Q^4) - 2 phi(Q^2)^2``."""
-    return free_fourth_moment(kernel, law).value - 2 * free_second_moment(kernel) ** 2
-
-
 def free_difference_identity(kernel: Kernel, law_a: FreeLaw, law_b: FreeLaw) -> dict:
     """Check the two-law difference identity: the gap between the scaled
     fourth cumulants of the two sums equals the gap between the laws' fourth

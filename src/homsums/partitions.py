@@ -97,10 +97,6 @@ class IntervalPattern:
         """0-based interval index containing ``x``."""
         return (x - 1) // self.block_length
 
-    def as_partition(self) -> Partition:
-        d, k = self.block_length, self.block_count
-        return Partition(d * k, [range(i * d + 1, (i + 1) * d + 1) for i in range(k)])
-
 
 @dataclass(frozen=True)
 class BlockProfile:
@@ -117,7 +113,6 @@ class BlockProfile:
 
 PAIRS_ONLY = BlockProfile({2})
 PAIRS_AND_FOURS = BlockProfile({2, 4})
-PAIRS_TRIPLES_FOURS = BlockProfile({2, 3, 4})
 
 
 def is_noncrossing(p: Partition) -> bool:

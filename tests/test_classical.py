@@ -28,6 +28,7 @@ from homsums import (
     random_admissible_kernel,
     rescaled_kernel,
 )
+from homsums.contract import partition_class_size
 
 
 def brute_fourth_moment(kernel, law):
@@ -172,6 +173,21 @@ def test_oracle_equals_formula_on_random_kernels(rng):
                     classical_fourth_moment_oracle(k, law).value
                     == classical_fourth_moment_formula(k, law).value
                 )
+
+
+def test_oracle_equals_formula_on_degree_four_kernels(rng):
+    for n in (5, 6, 7):
+        k = random_admissible_kernel(rng, 4, n)
+        for m4 in (Fraction(1), Fraction(3), Fraction(9, 2)):
+            law = ClassicalLaw.from_fourth_moment(m4)
+            assert (
+                classical_fourth_moment_oracle(k, law).value
+                == classical_fourth_moment_formula(k, law).value
+            )
+
+
+def test_oracle_class_size_at_degree_four():
+    assert partition_class_size(4, frozenset({2, 3, 4}), 4, False) == 18_366_912
 
 
 def test_oracle_handles_third_cumulants_where_formula_cannot():

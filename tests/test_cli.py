@@ -171,6 +171,17 @@ def test_moments_classical_orders(pair_file, capsys):
     assert values == {"closed-form": "81/4", "enumeration": "81/4"}
 
 
+def test_moments_classical_degree_four_oracle_agrees(tmp_path, capsys):
+    path = tmp_path / "d4.json"
+    family_kernel(KernelFamily("product", 4), 4).dump(str(path))
+    code, out, _ = run(["moments", str(path), "--law", "m4=9/2", "--regime", "classical",
+                        "--orders", "4"], capsys)
+    assert code == 0
+    reports = json.loads(out)["orders"]["4"]
+    assert [r["method"] for r in reports] == ["closed-form", "enumeration"]
+    assert reports[0]["value_exact"] == reports[1]["value_exact"] == "6561/16"
+
+
 def test_moments_rejects_classical_order_three(pair_file, capsys):
     code, _, err = run(["moments", pair_file, "--law", "gaussian", "--orders", "3"], capsys)
     assert code == 1 and "orders 2 and 4" in err

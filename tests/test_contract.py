@@ -1,6 +1,6 @@
 """The contraction engine: incidence-type grouping, the combinatorial
-pairing-class counts, and per-partition assignment sums against a naive
-reference."""
+partition-class counts against explicit listing, and per-partition assignment
+sums against a naive reference."""
 
 import itertools
 from fractions import Fraction
@@ -43,16 +43,38 @@ def naive_partition_sum(kernel, p, k):
     return total * kernel.scale2 ** (k // 2)
 
 
+def listed_types(d, sizes, k):
+    """The interval-respecting class listed partition by partition and
+    grouped by canonical incidence type: the reference for the counter."""
+    agg = {}
+    for p in enumerate_partitions(k * d, BlockProfile(sizes), respect=IntervalPattern(d, k)):
+        key = (incidence_type(p, k, d), p.block_sizes())
+        agg[key] = agg.get(key, 0) + 1
+    return tuple((tk, sk, c) for (tk, sk), c in sorted(agg.items()))
+
+
 @pytest.mark.parametrize("d,k", [(1, 4), (2, 4), (3, 4), (2, 2), (2, 3), (2, 6)])
 def test_pairing_class_counts_match_enumeration(d, k):
-    fast = grouped_types(d, frozenset({2}), k, False)
-    pattern = IntervalPattern(d, k)
-    agg = {}
-    for p in enumerate_partitions(k * d, BlockProfile({2}), respect=pattern):
-        key = incidence_type(p, k, d)
-        agg[key] = agg.get(key, 0) + 1
-    slow = tuple((tk, tuple([2] * (k * d // 2)), c) for tk, c in sorted(agg.items()))
-    assert fast == slow
+    assert grouped_types(d, frozenset({2}), k, False) == listed_types(d, {2}, k)
+
+
+CLASS_CASES = [
+    ({2, 4}, 1, 4),
+    ({2, 4}, 2, 4),
+    ({2, 4}, 3, 4),
+    ({2, 4}, 2, 5),
+    ({2, 3, 4}, 1, 4),
+    ({2, 3, 4}, 2, 3),
+    ({2, 3, 4}, 3, 3),
+    ({2, 3, 4}, 2, 4),
+    ({2, 3, 4}, 3, 4),
+]
+CLASS_IDS = [f"{''.join(map(str, sorted(s)))}-{d}-{k}" for s, d, k in CLASS_CASES]
+
+
+@pytest.mark.parametrize("sizes,d,k", CLASS_CASES, ids=CLASS_IDS)
+def test_partition_class_counts_match_enumeration(sizes, d, k):
+    assert grouped_types(d, frozenset(sizes), k, False) == listed_types(d, sizes, k)
 
 
 def test_pairing_class_empty_for_odd_ground():
