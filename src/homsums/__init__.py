@@ -24,7 +24,6 @@ from .kernels import (
     slice_kernel,
 )
 from .laws import (
-    CatalanTable,
     ClassicalLaw,
     FreeLaw,
     catalan_number,

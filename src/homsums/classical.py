@@ -24,9 +24,6 @@ from .laws import ClassicalLaw
 from .partitions import GROUND_CAP
 from .reports import MomentReport
 
-PAIRS = frozenset({2})
-ORACLE_SIZES = frozenset({2, 3, 4})
-
 #: The partition oracle counts the interval-respecting classes on [4d] by
 #: incidence type instead of listing them, and contracts every type; degrees
 #: above this are closed-form territory.
@@ -43,13 +40,10 @@ def gaussian_fourth_moment(kernel: Kernel) -> MomentReport:
     the 4d index positions.  Exact for exact kernels; admissibility is not
     required."""
     cap_check(4 * kernel.d)
-    value = kernel._cache.get("gaussian4")
-    if value is None:
-        contractor = KernelContractor.of(kernel)
-        value, _ = weighted_sum(contractor, 4, PAIRS, False, lambda sizes: Fraction(1))
-        kernel._cache["gaussian4"] = value
+    gaussian = {2: Fraction(1)}
+    value, _ = weighted_sum(KernelContractor.of(kernel), 4, gaussian, False)
     detail = {
-        "pairings": partition_class_size(kernel.d, PAIRS, 4, False),
+        "pairings": partition_class_size(kernel.d, gaussian, 4, False),
         "ground": 4 * kernel.d,
     }
     return MomentReport(value=value, method="enumeration", detail=detail)
@@ -82,16 +76,10 @@ def _slice_fourth_sum(kernel: Kernel, m: int) -> Fraction:
     return factorial(m) * total
 
 
-def _formula_components(kernel: Kernel) -> tuple[Fraction, tuple[Fraction, ...]]:
-    """Law-independent pieces of the closed form: the Gaussian base value and
-    the slice fourth-moment sums for every slice order."""
-    comps = kernel._cache.get("formula_components")
-    if comps is None:
-        base = gaussian_fourth_moment(kernel).value
-        sums = tuple(_slice_fourth_sum(kernel, m) for m in range(1, kernel.d + 1))
-        comps = (base, sums)
-        kernel._cache["formula_components"] = comps
-    return comps
+def _slice_fourth_sums(kernel: Kernel) -> tuple[Fraction, ...]:
+    """The closed form's law-independent slice fourth-moment sums, one per
+    slice order ``m = 1..d``."""
+    return tuple(_slice_fourth_sum(kernel, m) for m in range(1, kernel.d + 1))
 
 
 def classical_fourth_moment_formula(
@@ -108,7 +96,8 @@ def classical_fourth_moment_formula(
             )
     d = kernel.d
     chi4 = law.chi(4)
-    base, slice_sums = _formula_components(kernel)
+    base = gaussian_fourth_moment(kernel).value
+    slice_sums = kernel.derived(_slice_fourth_sums)
     detail: dict = {"m=0": base}
     value = base
     for m in range(1, d + 1):
@@ -139,17 +128,9 @@ def classical_fourth_moment_oracle(kernel: Kernel, law: ClassicalLaw) -> MomentR
     if law.moment(1) != 0:
         raise AssumptionViolation("partition oracle needs a centered law (m1 = 0)")
     chi = {s: law.chi(s) for s in (2, 3, 4)}
-
-    def weight(sizes: tuple[int, ...]):
-        w = Fraction(1)
-        for s in sizes:
-            w *= chi[s]
-        return w
-
-    contractor = KernelContractor.of(kernel)
-    value, by_sizes = weighted_sum(contractor, 4, ORACLE_SIZES, False, weight)
+    value, by_sizes = weighted_sum(KernelContractor.of(kernel), 4, chi, False)
     detail = {
-        "partitions": partition_class_size(d, ORACLE_SIZES, 4, False),
+        "partitions": partition_class_size(d, chi, 4, False),
         "by_block_sizes": {" +".join(map(str, k)): v for k, v in sorted(by_sizes.items())},
     }
     return MomentReport(value=value, method="enumeration", detail=detail)

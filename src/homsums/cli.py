@@ -1,9 +1,10 @@
 """Command-line front end: verification suites, family diagnostics sweeps,
 single-kernel moment queries, and Monte Carlo sampling.
 
-Subcommands: ``verify``, ``analyze``, ``moments``, ``sample``.  Shared flags:
-``--seed``, ``--mode exact|float``, ``--out``, ``--format csv|json``.
-Output files are written atomically.
+Subcommands: ``verify``, ``analyze``, ``moments``, ``sample``.  Every one
+takes ``--out`` (an atomic file write instead of stdout); ``verify`` and
+``sample`` take ``--seed``; ``analyze`` takes ``--format csv|json``.  Kernel
+files carry their own ``mode``.
 """
 
 from __future__ import annotations
@@ -115,22 +116,6 @@ def _write_out(text: str, out: str | None) -> None:
         raise
 
 
-def _load_kernel(path: str, mode: str) -> Kernel:
-    kernel = Kernel.load(path)
-    if mode == "float" and kernel.mode == "exact":
-        kernel = Kernel(kernel.n, kernel.d, kernel.entries, kernel.scale2, "float")
-    return kernel
-
-
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--seed", type=int, default=0, help="random seed (u64)")
-    parser.add_argument(
-        "--mode", choices=("exact", "float"), default="exact", help="arithmetic tag for loaded kernels"
-    )
-    parser.add_argument("--out", default=None, help="output file (atomic write); default stdout")
-    parser.add_argument("--format", choices=("csv", "json"), default=None, help="output format")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="homsums",
@@ -144,7 +129,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", type=int, default=2, help="kernel degree for randomized suites")
     p.add_argument("--n", type=int, default=4, help="index range for randomized suites")
     p.add_argument("--cases", type=int, default=50, help="random kernels per identity")
-    _add_common(p)
+    p.add_argument("--seed", type=int, default=0, help="random seed (u64)")
 
     p = sub.add_parser("analyze", help="sweep a kernel family, emitting diagnostics rows")
     p.add_argument("family", choices=FAMILY_IDS)
@@ -153,14 +138,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-max", type=int, default=16, help="last family size")
     p.add_argument("--law", required=True, help="law spec, e.g. 'gaussian' or 'm4=9/2'")
     p.add_argument("--regime", choices=("classical", "free"), default="classical")
-    _add_common(p)
+    p.add_argument("--format", choices=("csv", "json"), default="csv", help="output format")
 
     p = sub.add_parser("moments", help="exact moment reports for a kernel file")
     p.add_argument("kernel", help="kernel JSON file")
     p.add_argument("--law", required=True)
     p.add_argument("--regime", choices=("classical", "free"), default="classical")
     p.add_argument("--orders", default="2,4", help="comma-separated orders from {2,3,4}")
-    _add_common(p)
 
     p = sub.add_parser("sample", help="Monte Carlo moment estimate for a kernel file")
     p.add_argument("kernel", help="kernel JSON file")
@@ -171,7 +155,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float, default=0.5)
     p.add_argument("--q", type=int, default=1)
     p.add_argument("--base", default="gaussian")
-    _add_common(p)
+    p.add_argument("--seed", type=int, default=0, help="random seed (u64)")
+    for p in sub.choices.values():
+        p.add_argument("--out", default=None, help="output file (atomic write); default stdout")
     return parser
 
 
@@ -199,8 +185,7 @@ def cmd_analyze(args) -> int:
     if n_min > args.n_max:
         raise HomsumError(f"empty sweep: n-min {n_min} > n-max {args.n_max}")
     rows = analyze_family(args.family, args.d, range(n_min, args.n_max + 1), law, args.regime)
-    fmt = args.format or "csv"
-    if fmt == "csv":
+    if args.format == "csv":
         _write_out(rows_to_csv(rows), args.out)
     else:
         payload = {
@@ -256,7 +241,7 @@ def _moment_reports(kernel: Kernel, law, regime: str, order: int) -> list[Moment
 
 
 def cmd_moments(args) -> int:
-    kernel = _load_kernel(args.kernel, args.mode)
+    kernel = Kernel.load(args.kernel)
     law = parse_law(args.law, args.regime)
     try:
         orders = sorted({int(o) for o in args.orders.split(",") if o.strip()})
@@ -275,7 +260,7 @@ def cmd_sample(args) -> int:
             "sampling is classical-only: free laws are moment sequences here, "
             "with no operator model to draw from"
         )
-    kernel = _load_kernel(args.kernel, args.mode)
+    kernel = Kernel.load(args.kernel)
     spec = SamplerSpec(
         law=args.law,
         seed=args.seed,

@@ -21,9 +21,11 @@ import itertools
 import math
 from fractions import Fraction
 from functools import lru_cache
+from typing import Iterable, Mapping
 
 from .errors import GroundCapExceeded
 from .kernels import Kernel
+from .laws import Number
 from .partitions import (
     GROUND_CAP,
     BlockProfile,
@@ -96,11 +98,7 @@ class KernelContractor:
     def of(cls, kernel: Kernel) -> "KernelContractor":
         """The kernel's contractor, shared so incidence-type contractions are
         computed once per kernel no matter how many laws reuse them."""
-        c = kernel._cache.get("contractor")
-        if c is None:
-            c = cls(kernel)
-            kernel._cache["contractor"] = c
-        return c
+        return kernel.derived(cls)
 
     def _ordered_support(self) -> dict[tuple[int, ...], int]:
         if self._ordered is None:
@@ -269,18 +267,28 @@ def grouped_types(
     return tuple((tk, sk, c) for (tk, sk), c in sorted(agg.items()))
 
 
-def partition_class_size(d: int, sizes: frozenset[int], k: int, noncrossing: bool) -> int:
-    return sum(c for _, _, c in grouped_types(d, sizes, k, noncrossing))
+def partition_class_size(d: int, sizes: Iterable[int], k: int, noncrossing: bool) -> int:
+    """Number of partitions in the class; ``sizes`` may be a cumulant map."""
+    return sum(c for _, _, c in grouped_types(d, frozenset(sizes), k, noncrossing))
+
+
+def cumulant_weight(cumulants: Mapping[int, Number], sizes: Iterable[int]) -> Number:
+    """Product of the blockwise cumulants of a partition with these block
+    sizes."""
+    w: Number = Fraction(1)
+    for s in sizes:
+        w *= cumulants[s]
+    return w
 
 
 def weighted_sum(
     contractor: KernelContractor,
     k: int,
-    sizes: frozenset[int],
+    cumulants: Mapping[int, Number],
     noncrossing: bool,
-    weight_of_sizes,
 ) -> tuple[Fraction, dict[tuple[int, ...], Fraction]]:
-    """Sum ``weight(block sizes) * contraction`` over the partition class.
+    """Sum ``product of blockwise cumulants * contraction`` over the class of
+    partitions whose block sizes are the keys of ``cumulants``.
 
     Returns the total plus the per-block-size-profile contributions (the
     oracle's term breakdown).  Zero-weight profiles are skipped without
@@ -289,8 +297,8 @@ def weighted_sum(
     d = contractor.kernel.d
     total = Fraction(0)
     by_sizes: dict[tuple[int, ...], Fraction] = {}
-    for tkey, sk, count in grouped_types(d, sizes, k, noncrossing):
-        w = weight_of_sizes(sk)
+    for tkey, sk, count in grouped_types(d, frozenset(cumulants), k, noncrossing):
+        w = cumulant_weight(cumulants, sk)
         if not w:
             continue
         contrib = w * count * contractor.from_int(contractor.type_value(tkey, k), k)

@@ -14,16 +14,18 @@ import math
 from fractions import Fraction
 from math import factorial
 
-from .contract import KernelContractor, cap_check, partition_class_size, weighted_sum
+from .contract import (
+    KernelContractor,
+    cap_check,
+    cumulant_weight,
+    partition_class_size,
+    weighted_sum,
+)
 from .errors import AssumptionViolation, HomsumError
 from .kernels import Kernel, contraction_square_sum, slice_kernel
 from .laws import FreeLaw
 from .partitions import rho_partitions
 from .reports import MomentReport
-
-PAIRS = frozenset({2})
-PAIRS_FOURS = frozenset({2, 4})
-PAIRS_TRIPLES = frozenset({2, 3})
 
 
 def free_second_moment(kernel: Kernel) -> Fraction:
@@ -52,11 +54,11 @@ def semicircular_moment(kernel: Kernel, order: int) -> MomentReport:
     if order < 1:
         raise HomsumError(f"moment order must be >= 1, got {order}")
     cap_check(order * kernel.d)
-    contractor = KernelContractor.of(kernel)
-    coeff, _ = weighted_sum(contractor, order, PAIRS, True, lambda sizes: Fraction(1))
+    semicircle = {2: Fraction(1)}
+    coeff, _ = weighted_sum(KernelContractor.of(kernel), order, semicircle, True)
     value = _with_scale(coeff, kernel, order)
     detail = {
-        "pairings": partition_class_size(kernel.d, PAIRS, order, True),
+        "pairings": partition_class_size(kernel.d, semicircle, order, True),
         "coefficient": coeff,
         "scale2": kernel.scale2,
     }
@@ -97,24 +99,19 @@ def slice_fourth_sum(kernel: Kernel) -> Fraction:
     identity on each degree-(d-1) slice."""
     if kernel.d < 2:
         raise HomsumError("slice fourth moments need degree >= 2")
-    _, per_k = _free_components(kernel)
+    _, per_k = kernel.derived(_free_components)
     return sum(per_k.values(), Fraction(0))
 
 
 def _free_components(kernel: Kernel) -> tuple[Fraction, dict[int, Fraction]]:
     """Law-independent pieces of the free closed form: the semicircular fourth
     moment and each slice's semicircular fourth moment."""
-    comps = kernel._cache.get("free_components")
-    if comps is None:
-        semi = _contraction_fourth(kernel)
-        per_k = {}
-        for k in range(1, kernel.n + 1):
-            sl = slice_kernel(kernel, (k,))
-            if sl.entries:
-                per_k[k] = _contraction_fourth(sl)
-        comps = (semi, per_k)
-        kernel._cache["free_components"] = comps
-    return comps
+    per_k = {}
+    for k in range(1, kernel.n + 1):
+        sl = slice_kernel(kernel, (k,))
+        if sl.entries:
+            per_k[k] = _contraction_fourth(sl)
+    return _contraction_fourth(kernel), per_k
 
 
 def free_fourth_moment(kernel: Kernel, law: FreeLaw) -> MomentReport:
@@ -130,7 +127,7 @@ def free_fourth_moment(kernel: Kernel, law: FreeLaw) -> MomentReport:
     if kernel.d < 2:
         raise HomsumError("free fourth moment needs degree >= 2")
     kappa4 = law.kappa(4)
-    semi, per_k = _free_components(kernel)
+    semi, per_k = kernel.derived(_free_components)
     correction_per_k = {f"k={k}": kappa4 * v for k, v in per_k.items()}
     total_slices = sum(per_k.values(), Fraction(0))
     value = semi + kappa4 * total_slices
@@ -169,19 +166,14 @@ def free_fourth_moment_oracle(kernel: Kernel, law: FreeLaw) -> MomentReport:
         raise HomsumError("free oracle needs degree >= 2")
     cap_check(4 * d)
     kappa = {2: law.kappa(2), 4: law.kappa(4)}
-
-    def weight(sizes: tuple[int, ...]):
-        w = Fraction(1)
-        for s in sizes:
-            w *= kappa[s]
-        return w
-
+    pairs = {2: kappa[2]}
     contractor = KernelContractor.of(kernel)
-    value, by_sizes = weighted_sum(contractor, 4, PAIRS_FOURS, True, weight)
-    pairing_part, _ = weighted_sum(contractor, 4, PAIRS, True, weight)
+    value, by_sizes = weighted_sum(contractor, 4, kappa, True)
+    pairing_part, _ = weighted_sum(contractor, 4, pairs, True)
     rho_part = Fraction(0)
     for rho in rho_partitions(d):
-        rho_part += weight(rho.block_sizes()) * contractor.partition_value(rho, 4)
+        w = cumulant_weight(kappa, rho.block_sizes())
+        rho_part += w * contractor.partition_value(rho, 4)
     if pairing_part + rho_part != value:
         raise HomsumError("pairs + rho decomposition failed to re-sum (bug)")
     expected_rho = kappa[4] * slice_fourth_sum(kernel) * kappa[2] ** (2 * d - 2)
@@ -189,9 +181,9 @@ def free_fourth_moment_oracle(kernel: Kernel, law: FreeLaw) -> MomentReport:
         raise HomsumError(
             "rho-partition contribution disagrees with the slice fourth-moment sum"
         )
-    n_pairings = partition_class_size(d, PAIRS, 4, True)
+    n_pairings = partition_class_size(d, pairs, 4, True)
     detail = {
-        "partitions": partition_class_size(d, PAIRS_FOURS, 4, True),
+        "partitions": partition_class_size(d, kappa, 4, True),
         "pairings": n_pairings,
         "rho_count": d,
         "pairing_part": pairing_part,
@@ -214,18 +206,10 @@ def free_third_moment_oracle(kernel: Kernel, law: FreeLaw) -> MomentReport:
     semicircular one there."""
     cap_check(3 * kernel.d)
     kappa = {2: law.kappa(2), 3: law.kappa(3)}
-
-    def weight(sizes: tuple[int, ...]):
-        w = Fraction(1)
-        for s in sizes:
-            w *= kappa[s]
-        return w
-
-    contractor = KernelContractor.of(kernel)
-    coeff, by_sizes = weighted_sum(contractor, 3, PAIRS_TRIPLES, True, weight)
+    coeff, by_sizes = weighted_sum(KernelContractor.of(kernel), 3, kappa, True)
     value = _with_scale(coeff, kernel, 3)
     detail = {
-        "partitions": partition_class_size(kernel.d, PAIRS_TRIPLES, 3, True),
+        "partitions": partition_class_size(kernel.d, kappa, 3, True),
         "coefficient": coeff,
         "by_block_sizes": {" +".join(map(str, k)): v for k, v in sorted(by_sizes.items())},
     }

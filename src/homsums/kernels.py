@@ -42,7 +42,7 @@ def _sqrt_exact(q: Fraction) -> Fraction | None:
 class Kernel:
     """Symmetric degree-``d`` kernel on ``[n]^d`` vanishing on diagonals."""
 
-    __slots__ = ("n", "d", "entries", "scale2", "mode", "_ints", "_cache")
+    __slots__ = ("n", "d", "entries", "scale2", "mode", "_derived")
 
     def __init__(
         self,
@@ -82,9 +82,7 @@ class Kernel:
         self.entries = dict(sorted(clean.items()))
         self.scale2 = s2
         self.mode = mode
-        self._ints: tuple[int, dict[tuple[int, ...], int]] | None = None
-        # derived-value memo; kernels are immutable after construction
-        self._cache: dict = {}
+        self._derived: dict = {}
 
     # -- basic queries ------------------------------------------------------
 
@@ -120,14 +118,17 @@ class Kernel:
         """The admissibility normalization ``d! * sum(f^2)``."""
         return factorial(self.d) * self.sq_norm()
 
+    def derived(self, build):
+        """``build(self)``, computed once per kernel and keyed by ``build``
+        itself: the one memo for state derived from a kernel, which is
+        immutable after construction."""
+        if build not in self._derived:
+            self._derived[build] = build(self)
+        return self._derived[build]
+
     def int_entries(self) -> tuple[int, dict[tuple[int, ...], int]]:
         """Entries over a common denominator: ``entry = num / den``."""
-        if self._ints is None:
-            den = 1
-            for v in self.entries.values():
-                den = lcm(den, v.denominator)
-            self._ints = (den, {t: int(v * den) for t, v in self.entries.items()})
-        return self._ints
+        return self.derived(_int_entries)
 
     # -- transforms ---------------------------------------------------------
 
@@ -238,6 +239,11 @@ class Kernel:
             except json.JSONDecodeError as exc:
                 raise KernelFormatError(f"{path}: invalid JSON ({exc})") from exc
         return cls.from_json(data)
+
+
+def _int_entries(kernel: Kernel) -> tuple[int, dict[tuple[int, ...], int]]:
+    den = lcm(*(v.denominator for v in kernel.entries.values()))
+    return den, {t: int(v * den) for t, v in kernel.entries.items()}
 
 
 @dataclass(frozen=True)

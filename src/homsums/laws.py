@@ -1,105 +1,81 @@
 """Moment sequences with derived classical and free cumulants.
 
-Both cumulant transforms solve the triangular moment-cumulant system by
-summing generalized cumulants over the full partition lattice (classical) or
-the non-crossing lattice (free), reusing the partition engine.
+Both transforms run the standard order-by-order recursions (Nica-Speicher,
+*Lectures on the Combinatorics of Free Probability*, Lecture 11), with
+``m_0 = 1`` and ``M(z) = sum_j m_j z^j``: classical
+``m_n = sum_s binom(n-1, s-1) chi_s m_(n-s)``, free
+``m_n = sum_s kappa_s [z^(n-s)] M(z)^s``.  The ``s = n`` term is the order-n
+cumulant alone, so each order solves for one unknown.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 from math import comb
 from typing import Sequence
 
 from .errors import HomsumError, MissingCumulant
-from .partitions import BlockProfile, enumerate_partitions
 
 Number = Fraction | float
 
 MAX_ORDER = 8
 
 
-@lru_cache(maxsize=None)
-def _lattice(n: int, noncrossing: bool):
-    return enumerate_partitions(n, BlockProfile(range(1, n + 1)), noncrossing=noncrossing)
+def _power_coefficient(moments: Sequence[Number], s: int, j: int) -> Number:
+    """``[z^j] M(z)^s`` for ``M(z) = sum_i moments[i] z^i`` (``moments[0] = 1``
+    and ``j < len(moments)``)."""
+    power: list[Number] = [Fraction(1)] + [Fraction(0)] * j
+    for _ in range(s):
+        power = [sum((power[i] * moments[t - i] for i in range(t + 1)), Fraction(0))
+                 for t in range(j + 1)]
+    return power[j]
 
 
-def _moments_to_cumulants(moments: Sequence[Number], noncrossing: bool) -> tuple[Number, ...]:
-    K = len(moments)
+def _transform(seq: Sequence[Number], noncrossing: bool, to_cumulants: bool) -> tuple[Number, ...]:
+    """Moments to cumulants (``to_cumulants``) or back, order by order."""
+    K = len(seq)
     if K < 1 or K > MAX_ORDER:
-        raise HomsumError(f"moment sequences supported for orders 1..{MAX_ORDER}, got {K}")
+        what = "moment" if to_cumulants else "cumulant"
+        raise HomsumError(f"{what} sequences supported for orders 1..{MAX_ORDER}, got {K}")
+    moms: list[Number] = [Fraction(1)]
     cums: list[Number] = []
-    for order in range(1, K + 1):
+    for n in range(1, K + 1):
         rest: Number = Fraction(0)
-        for p in _lattice(order, noncrossing):
-            if len(p.blocks) == 1:
-                continue  # the full block carries the unknown cumulant
-            term: Number = Fraction(1)
-            for b in p.blocks:
-                term *= cums[len(b) - 1]
-            rest += term
-        cums.append(moments[order - 1] - rest)
-    return tuple(cums)
-
-
-def _cumulants_to_moments(cumulants: Sequence[Number], noncrossing: bool) -> tuple[Number, ...]:
-    K = len(cumulants)
-    if K < 1 or K > MAX_ORDER:
-        raise HomsumError(f"cumulant sequences supported for orders 1..{MAX_ORDER}, got {K}")
-    moms: list[Number] = []
-    for order in range(1, K + 1):
-        tot: Number = Fraction(0)
-        for p in _lattice(order, noncrossing):
-            term: Number = Fraction(1)
-            for b in p.blocks:
-                term *= cumulants[len(b) - 1]
-            tot += term
-        moms.append(tot)
-    return tuple(moms)
+        for s in range(1, n):
+            if noncrossing:
+                coeff = _power_coefficient(moms, s, n - s)
+            else:
+                coeff = comb(n - 1, s - 1) * moms[n - s]
+            rest += cums[s - 1] * coeff
+        if to_cumulants:
+            moms.append(seq[n - 1])
+            cums.append(seq[n - 1] - rest)
+        else:
+            cums.append(seq[n - 1])
+            moms.append(rest + seq[n - 1])
+    return tuple(cums) if to_cumulants else tuple(moms[1:])
 
 
 def moments_to_cumulants_classical(moments: Sequence[Number]) -> tuple[Number, ...]:
-    """Solve ``m_n = sum over all partitions of prod chi_{|b|}`` for the chis."""
-    return _moments_to_cumulants(moments, noncrossing=False)
+    """Classical cumulants ``chi_1..chi_K`` of the moments ``m_1..m_K``."""
+    return _transform(moments, noncrossing=False, to_cumulants=True)
 
 
 def cumulants_to_moments_classical(cumulants: Sequence[Number]) -> tuple[Number, ...]:
-    return _cumulants_to_moments(cumulants, noncrossing=False)
+    return _transform(cumulants, noncrossing=False, to_cumulants=False)
 
 
 def moments_to_free_cumulants(moments: Sequence[Number]) -> tuple[Number, ...]:
-    """Solve the triangular system over the non-crossing lattice."""
-    return _moments_to_cumulants(moments, noncrossing=True)
+    """Free cumulants ``kappa_1..kappa_K`` of the moments ``m_1..m_K``."""
+    return _transform(moments, noncrossing=True, to_cumulants=True)
 
 
 def free_cumulants_to_moments(cumulants: Sequence[Number]) -> tuple[Number, ...]:
-    return _cumulants_to_moments(cumulants, noncrossing=True)
+    return _transform(cumulants, noncrossing=True, to_cumulants=False)
 
 
 def catalan_number(k: int) -> int:
     return comb(2 * k, k) // (k + 1)
-
-
-@dataclass(frozen=True)
-class CatalanTable:
-    """Catalan numbers C_0..C_K; the even semicircular moment sequence."""
-
-    max_order: int = MAX_ORDER
-    values: tuple[int, ...] = field(init=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "values", tuple(catalan_number(k) for k in range(self.max_order + 1))
-        )
-
-    def __getitem__(self, k: int) -> int:
-        return self.values[k]
-
-    def semicircle_moment(self, order: int) -> int:
-        """Moment of the standard semicircle: C_{order/2} for even order."""
-        return self.values[order // 2] if order % 2 == 0 else 0
 
 
 def _as_number(x) -> Number:
@@ -119,7 +95,7 @@ class _LawBase:
         if len(moms) < 4:
             raise HomsumError(f"{self._label} needs moments at least up to order 4")
         self.moments = moms
-        self.cumulants = _moments_to_cumulants(moms, self._noncrossing)
+        self.cumulants = _transform(moms, self._noncrossing, to_cumulants=True)
         self.sampler = sampler
 
     @property
@@ -198,8 +174,7 @@ class FreeLaw(_LawBase):
 
     @classmethod
     def semicircle(cls) -> "FreeLaw":
-        table = CatalanTable(8)
-        return cls(tuple(table.semicircle_moment(j) for j in range(1, 9)))
+        return cls(tuple(catalan_number(j // 2) if j % 2 == 0 else 0 for j in range(1, 9)))
 
     @classmethod
     def free_rademacher(cls) -> "FreeLaw":

@@ -8,11 +8,12 @@ bottom of this file, which share no code with the engines.
 
 import itertools
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 
 import pytest
 
 from conftest import pair_family_fourth_cumulant
+from homsums import classical
 from homsums import (
     AssumptionViolation,
     ClassicalLaw,
@@ -188,6 +189,26 @@ def test_oracle_equals_formula_on_degree_four_kernels(rng):
 
 def test_oracle_class_size_at_degree_four():
     assert partition_class_size(4, frozenset({2, 3, 4}), 4, False) == 18_366_912
+
+
+def test_closed_form_builds_slice_kernels_once(rng, monkeypatch):
+    # the slice sums are law-independent: a second law reuses them
+    calls = []
+    real = classical.slice_kernel
+
+    def counting(kernel, fixed):
+        calls.append(fixed)
+        return real(kernel, fixed)
+
+    monkeypatch.setattr(classical, "slice_kernel", counting)
+    kernel = random_admissible_kernel(rng, 3, 5)
+    support = len({i for t in kernel.entries for i in t})
+    slices = comb(support, 1) + comb(support, 2)  # slice orders m = 1, 2 of d = 3
+    first = classical_fourth_moment_formula(kernel, ClassicalLaw.rademacher()).value
+    assert len(calls) == slices
+    second = classical_fourth_moment_formula(kernel, ClassicalLaw.from_fourth_moment(9)).value
+    assert len(calls) == slices
+    assert first != second
 
 
 def test_oracle_handles_third_cumulants_where_formula_cannot():

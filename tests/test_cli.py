@@ -1,12 +1,17 @@
 """Command-line front end: subcommands, law parsing, formats, error paths."""
 
 import json
+import re
+import shlex
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from homsums import ClassicalLaw, FreeLaw, HomsumError, KernelFamily, family_kernel
-from homsums.cli import main, parse_law, parse_number
+from homsums.cli import build_parser, main, parse_law, parse_number
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 @pytest.fixture
@@ -20,6 +25,58 @@ def run(args, capsys):
     code = main(args)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+# -- parser surface ------------------------------------------------------------------
+
+OPTIONS = {
+    "verify": {"-h", "--help", "--scope", "--d", "--n", "--cases", "--seed", "--out"},
+    "analyze": {"-h", "--help", "--d", "--n-min", "--n-max", "--law", "--regime", "--format",
+                "--out"},
+    "moments": {"-h", "--help", "--law", "--regime", "--orders", "--out"},
+    "sample": {"-h", "--help", "--law", "--regime", "--order", "--count", "--alpha", "--q",
+               "--base", "--seed", "--out"},
+}
+
+
+def test_subcommand_option_sets():
+    subparsers = build_parser()._subparsers._group_actions[0].choices
+    assert set(subparsers) == set(OPTIONS)
+    for name, sub in subparsers.items():
+        got = {opt for action in sub._actions for opt in action.option_strings}
+        assert got == OPTIONS[name], name
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--mode", "exact"],
+        ["verify", "--format", "json"],
+        ["analyze", "star", "--law", "gaussian", "--mode", "float"],
+        ["analyze", "star", "--law", "gaussian", "--seed", "1"],
+        ["moments", "k.json", "--law", "gaussian", "--mode", "float"],
+        ["moments", "k.json", "--law", "gaussian", "--seed", "1"],
+        ["moments", "k.json", "--law", "gaussian", "--format", "json"],
+        ["sample", "k.json", "--law", "rademacher", "--mode", "exact"],
+        ["sample", "k.json", "--law", "rademacher", "--format", "json"],
+    ],
+    ids=lambda argv: f"{argv[0]}{argv[-2]}",
+)
+def test_removed_flags_are_usage_errors(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_readme_cli_lines_parse():
+    block = re.search(r"## CLI\n.*?```sh\n(.*?)```", README.read_text(), re.S).group(1)
+    lines = [line for line in block.splitlines() if line.startswith("homsums ")]
+    assert len(lines) >= 6
+    parser = build_parser()
+    for line in lines:
+        argv = shlex.split(line)[1:]
+        assert parser.parse_args(argv).command == argv[0]
 
 
 # -- law spec parsing -----------------------------------------------------------
@@ -215,7 +272,7 @@ def test_moments_float_mode_kernel(tmp_path, capsys):
         "entries": [{"idx": [1, 2], "val": 0.5}],
     }))
     code, out, _ = run(["moments", str(path), "--law", "semicircle", "--regime", "free",
-                        "--orders", "4", "--mode", "float"], capsys)
+                        "--orders", "4"], capsys)
     assert code == 0
     payload = json.loads(out)
     assert payload["orders"]["4"][0]["value"] == 0.625

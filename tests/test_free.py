@@ -31,6 +31,7 @@ from homsums import (
     semicircular_moment,
     slice_fourth_sum,
 )
+from homsums import free
 from homsums.contract import KernelContractor
 
 
@@ -289,6 +290,24 @@ def test_difference_identity_random(rng):
         law_a = FreeLaw.from_fourth_moment(Fraction(rng.randint(1, 10), 2))
         law_b = FreeLaw.from_fourth_moment(Fraction(rng.randint(1, 10), 2))
         assert free_difference_identity(k, law_a, law_b)["equal"]
+
+
+def test_closed_form_builds_slice_kernels_once(rng, monkeypatch):
+    # the slice components are law-independent: a second law reuses them
+    calls = []
+    real = free.slice_kernel
+
+    def counting(kernel, fixed):
+        calls.append(fixed)
+        return real(kernel, fixed)
+
+    monkeypatch.setattr(free, "slice_kernel", counting)
+    kernel = random_admissible_kernel(rng, 3, 5)
+    first = free_fourth_moment(kernel, FreeLaw.free_rademacher()).value
+    assert len(calls) == kernel.n
+    second = free_fourth_moment(kernel, FreeLaw.from_fourth_moment(5)).value
+    assert slice_fourth_sum(kernel) == (second - first) / 4
+    assert len(calls) == kernel.n
 
 
 # -- positivity and monotonicity (sampled) ----------------------------------------------

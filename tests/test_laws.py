@@ -6,7 +6,6 @@ import pytest
 
 from homsums import (
     BlockProfile,
-    CatalanTable,
     ClassicalLaw,
     FreeLaw,
     HomsumError,
@@ -57,14 +56,44 @@ def test_round_trips_to_order_8(rng):
         assert moments_to_free_cumulants(free_cumulants_to_moments(cums)) == cums
 
 
+def lattice_moments(cumulants, order, noncrossing):
+    """``m_order`` as the sum over the partition lattice of ``[order]`` (all
+    partitions, or the non-crossing ones) of the blockwise cumulants."""
+    total = Fraction(0)
+    lattice = enumerate_partitions(order, BlockProfile(range(1, order + 1)), noncrossing=noncrossing)
+    for p in lattice:
+        term = Fraction(1)
+        for b in p.blocks:
+            term *= cumulants[len(b) - 1]
+        total += term
+    return total
+
+
+@pytest.mark.parametrize("noncrossing", [False, True], ids=["classical", "free"])
+def test_recursions_match_lattice_sums(rng, noncrossing):
+    to_cumulants, to_moments = (
+        (moments_to_free_cumulants, free_cumulants_to_moments)
+        if noncrossing
+        else (moments_to_cumulants_classical, cumulants_to_moments_classical)
+    )
+    for _ in range(5):
+        cums = tuple(Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(8))
+        moms = tuple(lattice_moments(cums, k, noncrossing) for k in range(1, 9))
+        for K in range(1, 9):
+            assert to_moments(cums[:K]) == moms[:K]
+            assert to_cumulants(moms[:K]) == cums[:K]
+
+
 def test_catalan_table_matches_enumeration():
-    table = CatalanTable(8)
     for k in range(1, 7):
         nc2 = enumerate_partitions(2 * k, BlockProfile({2}), noncrossing=True)
-        assert table[k] == len(nc2) == catalan_number(k)
-    assert table.values == (1, 1, 2, 5, 14, 42, 132, 429, 1430)
-    assert table.semicircle_moment(4) == 2
-    assert table.semicircle_moment(5) == 0
+        assert len(nc2) == catalan_number(k)
+    assert tuple(catalan_number(k) for k in range(9)) == (1, 1, 2, 5, 14, 42, 132, 429, 1430)
+    semicircle = FreeLaw.semicircle()
+    for k in range(1, 9):
+        assert semicircle.moment(k) == (catalan_number(k // 2) if k % 2 == 0 else 0)
+    assert semicircle.moment(4) == 2
+    assert semicircle.moment(5) == 0
 
 
 def test_law_validation():
