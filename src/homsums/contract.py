@@ -13,18 +13,38 @@ copies each block touches, so partitions are grouped by that incidence type
 once.  Contractions run over the integer numerators of the kernel on a common
 denominator, with the denominator and the kernel's squared scale factored
 back in at the end, so results are exact rationals.
+
+``KernelContractor.type_value`` contracts a type by one of two backends,
+chosen from the kernel and the type alone:
+
+* dense: ``np.einsum`` over the full int64 numerator tensor, one index letter
+  per block, ordered pairwise by ``np.einsum_path``'s greedy planner.  It runs
+  when the degree is at least 2, the tensor has at most ``DENSE_CAP`` entries
+  and at least ``1/DENSE_SPARSITY`` of them are nonzero, ``max|num|^k *
+  n^blocks < 2^63`` (so no partial sum can overflow int64; float-mode
+  kernels, with denominators near 2^52, fail it), and the planner finds a
+  path of pairwise steps whose intermediates stay within ``DENSE_CAP``;
+* sparse: otherwise, sequential copy elimination over the ordered support
+  (Python ints, no bound).
+
+Both give the same integer; the contractor counts the distinct types each
+backend contracted in ``backend_types``.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import string
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Mapping
 
+import numpy as np
+
 from .errors import GroundCapExceeded
-from .kernels import Kernel
+from .kernels import DENSE_CAP, Kernel, dense_numerators
 from .laws import Number
 from .partitions import (
     GROUND_CAP,
@@ -83,9 +103,33 @@ def representative_blocks(tkey: TypeKey, k: int, d: int) -> list[tuple[int, ...]
     return blocks
 
 
+def _einsum_subscripts(tkey: TypeKey, k: int) -> str:
+    """``np.einsum`` subscripts contracting ``k`` kernel copies along an
+    incidence type: one letter per block, each copy indexed by the letters of
+    the blocks that touch it (any order, the kernel being symmetric)."""
+    letters = string.ascii_letters
+    terms = (
+        "".join(letters[b] for b, mask in enumerate(tkey) if mask >> u & 1) for u in range(k)
+    )
+    return ",".join(terms) + "->"
+
+
+@lru_cache(maxsize=None)
+def _einsum_path(subscripts: str, n: int) -> tuple | None:
+    """The greedy contraction order for copies of an ``n^d`` tensor, with
+    every intermediate within ``DENSE_CAP`` entries; None when the planner
+    cannot avoid a step over three or more operands at once (a naive loop)."""
+    shapes = [np.broadcast_to(np.int64(0), (n,) * len(t)) for t in subscripts[:-2].split(",")]
+    path, _ = np.einsum_path(subscripts, *shapes, optimize=("greedy", DENSE_CAP))
+    if any(len(step) > 2 for step in path[1:]):
+        return None
+    return tuple(path)
+
+
 class KernelContractor:
     """Contraction state for one kernel: pattern-indexed ordered support plus
-    a per-incidence-type memo."""
+    a per-incidence-type memo, and the count of distinct types contracted by
+    each backend."""
 
     def __init__(self, kernel: Kernel):
         self.kernel = kernel
@@ -93,6 +137,7 @@ class KernelContractor:
         self._ordered: dict[tuple[int, ...], int] | None = None
         self._patterns: dict[tuple[int, ...], dict] = {}
         self._type_memo: dict[tuple[int, TypeKey], int] = {}
+        self.backend_types: Counter[str] = Counter()
 
     @classmethod
     def of(cls, kernel: Kernel) -> "KernelContractor":
@@ -167,14 +212,28 @@ class KernelContractor:
                 return 0
         return sum(states.values())
 
+    def _contract_dense(self, tkey: TypeKey, k: int) -> int | None:
+        """The type's integer contraction by ``np.einsum``, or None when the
+        dense backend may not run it (see the module docstring)."""
+        tensor = dense_numerators(self.kernel, k, len(tkey))
+        if tensor is None:
+            return None
+        subscripts = _einsum_subscripts(tkey, k)
+        path = _einsum_path(subscripts, self.kernel.n)
+        if path is None:
+            return None
+        return int(np.einsum(subscripts, *[tensor] * k, optimize=path))
+
     def type_value(self, tkey: TypeKey, k: int) -> int:
         """Memoized integer contraction for an incidence type."""
         memo_key = (k, tkey)
         val = self._type_memo.get(memo_key)
         if val is None:
-            val = self._contract_blocks(
-                representative_blocks(tkey, k, self.kernel.d), k
-            )
+            val, backend = self._contract_dense(tkey, k), "dense"
+            if val is None:
+                blocks = representative_blocks(tkey, k, self.kernel.d)
+                val, backend = self._contract_blocks(blocks, k), "sparse"
+            self.backend_types[backend] += 1
             self._type_memo[memo_key] = val
         return val
 

@@ -22,6 +22,8 @@ LAW_IDS = ("rademacher", "gaussian", "two-point", "mixture-T", "product-TX")
 BASE_IDS = ("gaussian", "rademacher")
 
 _BATCH = 1 << 16
+#: Most float64 elements one support chunk's gather (batch x chunk x d) holds.
+_GATHER_BUDGET = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -159,10 +161,11 @@ def estimate_moment(kernel: Kernel, spec: SamplerSpec, order: int) -> Estimate:
     while remaining > 0:
         batch = min(_BATCH, remaining)
         x = _entries(rng, spec, (batch, kernel.n))
-        if len(w):
-            q = x[:, idx].prod(axis=2) @ w
-        else:
-            q = np.zeros(batch)
+        # Q summed over chunks of the support, so the gather stays within budget
+        step = max(1, _GATHER_BUDGET // (batch * kernel.d))
+        q = np.zeros(batch)
+        for lo in range(0, len(w), step):
+            q += x[:, idx[lo : lo + step]].prod(axis=2) @ w[lo : lo + step]
         chunks.append(q**order)
         remaining -= batch
     vals = np.concatenate(chunks)

@@ -85,6 +85,16 @@ def test_pair_family_closed_form_matches_brute_expansion(m4):
         assert pair_family_fourth_cumulant(n, m4) + 3 == brute_fourth_moment(k, law)
 
 
+def test_pair_family_closed_form_pinned_at_n_128():
+    """The engine's closed form equals the pair family's exact fourth
+    cumulant (plus 3) well beyond criterion 9a's n = 64."""
+    k = family_kernel(KernelFamily("off-diagonal-pair", 2), 128)
+    for m4 in (Fraction(3), Fraction(9, 2)):
+        law = ClassicalLaw.from_fourth_moment(m4)
+        value = classical_fourth_moment_formula(k, law).value
+        assert value == pair_family_fourth_cumulant(128, m4) + 3
+
+
 def test_gaussian_fourth_moment_matches_brute_expansion(rng):
     law = ClassicalLaw.gaussian()
     for d, n in ((2, 4), (3, 4)):

@@ -1,8 +1,11 @@
 """The contraction engine: incidence-type grouping, the combinatorial
-partition-class counts against explicit listing, and per-partition assignment
-sums against a naive reference."""
+partition-class counts against explicit listing, per-partition assignment
+sums against a naive reference, and the dense backend against the sparse
+walk."""
 
 import itertools
+import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -12,16 +15,25 @@ from homsums import (
     ClassicalLaw,
     FreeLaw,
     IntervalPattern,
+    Kernel,
     KernelFamily,
     classical_fourth_moment_formula,
+    classical_fourth_moment_oracle,
     enumerate_partitions,
     family_kernel,
     free_fourth_moment,
     free_fourth_moment_oracle,
     gaussian_fourth_moment,
+    make_admissible,
     random_admissible_kernel,
+    slice_kernel,
 )
-from homsums.contract import KernelContractor, grouped_types, incidence_type
+from homsums.contract import (
+    KernelContractor,
+    grouped_types,
+    incidence_type,
+    representative_blocks,
+)
 
 
 def naive_partition_sum(kernel, p, k):
@@ -116,3 +128,71 @@ def test_degree_four_free_formula_matches_oracle(rng):
             free_fourth_moment(kernel, law).value
             == free_fourth_moment_oracle(kernel, law).value
         )
+
+
+DENSE_CLASSES = [({2}, False), ({2, 3, 4}, False), ({2}, True), ({2, 4}, True)]
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_dense_contraction_equals_sparse(d):
+    """Every type of the classical {2}, {2,3,4} and non-crossing {2}, {2,4}
+    classes at k = 2, 3, 4 contracts densely to the sparse walk's integer."""
+    kernel = random_admissible_kernel(random.Random(d), d, 6)
+    contractor = KernelContractor(kernel)
+    checked = 0
+    for (sizes, nc), k in itertools.product(DENSE_CLASSES, (2, 3, 4)):
+        for tkey, _, _ in grouped_types(d, frozenset(sizes), k, nc):
+            dense = contractor._contract_dense(tkey, k)
+            assert dense is not None
+            assert dense == contractor._contract_blocks(representative_blocks(tkey, k, d), k)
+            checked += 1
+    assert checked >= 10
+
+
+def uniform_kernel(n, d, value):
+    return Kernel(n, d, {t: value for t in itertools.combinations(range(1, n + 1), d)})
+
+
+def test_dense_contraction_at_the_int64_bound():
+    """Two copies of a degree-2 kernel on n = 3 paired slot by slot: two
+    blocks, so dense runs iff max|num|^2 * 3^2 < 2^63.  Just below it runs
+    dense; just above, and far above (where int64 would wrap), it falls
+    back to the sparse walk, and both give the exact n(n-1) v^2."""
+    tkey, k = (3, 3), 2
+    top = math.isqrt((2**63 - 1) // 9)
+    for value, backend in ((top, "dense"), (top + 1, "sparse"), (2**40, "sparse")):
+        contractor = KernelContractor(uniform_kernel(3, 2, value))
+        assert contractor.type_value(tkey, k) == 6 * value**2
+        assert contractor.backend_types == {backend: 1}
+
+
+def cli_cold_kernel(d, n):
+    """A kernel of the benchmark's ``cli-cold`` workload: the exact entries of
+    a seed-0 random kernel, its normalization dropped."""
+    k = random_admissible_kernel(random.Random(0), d, n)
+    return Kernel(k.n, k.d, k.entries)
+
+
+def backends_used(kernel):
+    """The backends that contracted the types of the kernel's Wick sum and,
+    up to degree 4, of its classical oracle."""
+    gaussian_fourth_moment(kernel)
+    if kernel.d <= 4:
+        classical_fourth_moment_oracle(kernel, ClassicalLaw.from_fourth_moment(Fraction(9, 2)))
+    return set(KernelContractor.of(kernel).backend_types)
+
+
+def test_backend_dispatch():
+    dense = [cli_cold_kernel(3, 6), cli_cold_kernel(4, 7), cli_cold_kernel(5, 7)]
+    dense.append(family_kernel(KernelFamily("off-diagonal-pair", 2), 48))
+    for kernel in dense:
+        assert backends_used(kernel) == {"dense"}, kernel
+    degree_one = slice_kernel(cli_cold_kernel(3, 6), (1, 2))
+    assert degree_one.d == 1 and degree_one.entries
+    rng = random.Random(5)
+    raw = {t: rng.uniform(-1, 1) for t in itertools.combinations(range(1, 6), 2)}
+    float_mode = make_admissible(raw, 5, 2)
+    assert float_mode.mode == "float"
+    sparse = [degree_one, family_kernel(KernelFamily("star", 3), 50), float_mode]
+    for kernel in sparse:
+        assert backends_used(kernel) == {"sparse"}, kernel

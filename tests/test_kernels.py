@@ -1,10 +1,11 @@
 """Kernel construction, admissibility, slices, influences, contractions,
 families and the JSON interchange."""
 
+import itertools
 import json
 import random
 from fractions import Fraction
-from math import factorial
+from math import factorial, isqrt
 
 import pytest
 from hypothesis import given, settings
@@ -25,6 +26,8 @@ from homsums import (
     random_admissible_kernel,
     slice_kernel,
 )
+from homsums import kernels
+from homsums.kernels import dense_numerators
 
 
 def pair_kernel():
@@ -179,6 +182,29 @@ def test_contraction_square_sum_relabel_invariant(rng):
     perm = {1: 3, 2: 5, 3: 1, 4: 2, 5: 4}
     for s in (1, 2):
         assert contraction_square_sum(k, s) == contraction_square_sum(k.relabel(perm), s)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_dense_square_sum_equals_dict_grouping(d, monkeypatch):
+    """The dense Gram-matrix route and the d!-permutation dict grouping give
+    the same exact value at every overlap size."""
+    kernel = random_admissible_kernel(random.Random(d), d, 6)
+    assert dense_numerators(kernel, 4, 2 * d) is not None
+    dense = [contraction_square_sum(kernel, s) for s in range(1, d)]
+    monkeypatch.setattr(kernels, "dense_numerators", lambda *args: None)
+    again = Kernel(kernel.n, d, kernel.entries, kernel.scale2)
+    assert dense == [contraction_square_sum(again, s) for s in range(1, d)]
+
+
+def test_dense_square_sum_at_the_int64_bound():
+    """On n = 3 at degree 2 the sum runs over 2d = 4 indices of 4 factors:
+    dense iff max|num|^4 * 3^4 < 2^63.  Either side gives the exact
+    18 v^4 of a uniform kernel of value v."""
+    top = isqrt(isqrt((2**63 - 1) // 81))
+    for value, dense in ((top, True), (top + 1, False)):
+        kernel = Kernel(3, 2, {t: value for t in itertools.combinations(range(1, 4), 2)})
+        assert (dense_numerators(kernel, 4, 4) is not None) == dense
+        assert contraction_square_sum(kernel, 1) == 18 * value**4
 
 
 def test_slice_commutes_with_relabeling(rng):
