@@ -8,18 +8,21 @@ size 4 is ``binom(d,m)^4 * m!^3`` (choose an m-subset of slots in each of the
 four groups, then match three of the subsets onto the first), so that is the
 multiplier used here.  It is pinned by exact agreement with the partition
 oracle and by the product- and star-kernel identities in the test suite.
+
+The slice sums are contractions of the parent kernel with the slice indices
+as blocks shared by all four copies (Peccati and Taqqu's diagrams, *Wiener
+Chaos: Moments, Cumulants and Diagrams*, 2011); no slice kernel is built.
 """
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
 from math import comb, factorial
 from typing import Sequence
 
-from .contract import KernelContractor, cap_check, partition_class_size, weighted_sum
+from .contract import KernelContractor, cap_check, grouped_types, partition_class_size, weighted_sum
 from .errors import AssumptionViolation, GroundCapExceeded
-from .kernels import Kernel, slice_kernel
+from .kernels import Kernel
 from .laws import ClassicalLaw
 from .partitions import GROUND_CAP
 from .reports import MomentReport
@@ -49,37 +52,21 @@ def gaussian_fourth_moment(kernel: Kernel) -> MomentReport:
     return MomentReport(value=value, method="enumeration", detail=detail)
 
 
-def _quartic_diagonal_sum(kernel: Kernel) -> Fraction:
-    """Sum of ``f(j_1..j_d)^4`` over all ordered tuples: the degenerate
-    degree-0 slice term of the closed form."""
-    acc = sum((v**4 for v in kernel.entries.values()), Fraction(0))
-    return factorial(kernel.d) * acc * kernel.scale2**2
-
-
-def _slice_fourth_sum(kernel: Kernel, m: int) -> Fraction:
-    """``sum over j in [n]^m of E[Q_N(f(j,.)^4)]``.
-
-    Tuples with repeats slice to the zero kernel, and the slice only depends
-    on the index set, so the sum runs over m-subsets weighted by ``m!``.
-    """
-    if m == kernel.d:
-        return _quartic_diagonal_sum(kernel)
-    support: set[int] = set()
-    for t in kernel.entries:
-        support.update(t)
-    total = Fraction(0)
-    for subset in itertools.combinations(sorted(support), m):
-        sl = slice_kernel(kernel, subset)
-        if not sl.entries:
-            continue
-        total += gaussian_fourth_moment(sl).value
-    return factorial(m) * total
-
-
 def _slice_fourth_sums(kernel: Kernel) -> tuple[Fraction, ...]:
-    """The closed form's law-independent slice fourth-moment sums, one per
-    slice order ``m = 1..d``."""
-    return tuple(_slice_fourth_sum(kernel, m) for m in range(1, kernel.d + 1))
+    """The law-independent ``sum over j in [n]^m of E[Q_N(f(j,.))^4]`` for
+    ``m = 1..d``: the degree-``(d-m)`` Wick types with ``m`` blocks of mask
+    15 appended (the largest mask, fixed by every copy relabeling, so the
+    key stays canonical); ``m = d`` is the type ``15^d``."""
+    contractor = KernelContractor.of(kernel)
+    d = kernel.d
+    sums = []
+    for m in range(1, d + 1):
+        total = sum(
+            count * contractor.type_value(tkey + (15,) * m, 4)
+            for tkey, _, count in grouped_types(d - m, frozenset({2}), 4, False)
+        )
+        sums.append(contractor.from_int(total, 4))
+    return tuple(sums)
 
 
 def classical_fourth_moment_formula(

@@ -29,6 +29,10 @@ chosen from the kernel and the type alone:
 
 Both give the same integer; the contractor counts the distinct types each
 backend contracted in ``backend_types``.
+
+``type_marginal`` leaves a type's one full block (all ``k`` copies) unsummed,
+one integer per index: the einsum output on the dense backend, a block live
+past the last copy on the sparse one, with the same memo and dispatch.
 """
 
 from __future__ import annotations
@@ -39,11 +43,11 @@ import string
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import GroundCapExceeded
+from .errors import GroundCapExceeded, HomsumError
 from .kernels import DENSE_CAP, Kernel, dense_numerators
 from .laws import Number
 from .partitions import (
@@ -74,23 +78,22 @@ def _mask_tables(k: int) -> list[list[int]]:
     return tables
 
 
+def canonical_type(masks: Sequence[int], k: int) -> TypeKey:
+    """The multiset of per-block copy bitmasks, minimized over relabelings
+    of the ``k`` copies: the key under which a type is contracted once."""
+    return min(tuple(sorted(table[m] for m in masks)) for table in _mask_tables(k))
+
+
 def incidence_type(p: Partition, k: int, d: int) -> TypeKey:
-    """Canonical incidence type of a partition of ``[k*d]``: the multiset of
-    per-block copy sets (as bitmasks), minimized over relabelings of the
-    ``k`` copies."""
+    """Canonical incidence type of a partition of ``[k*d]``: the copy sets
+    of its blocks as bitmasks, through ``canonical_type``."""
     masks = []
     for b in p.blocks:
         m = 0
         for x in b:
             m |= 1 << ((x - 1) // d)
         masks.append(m)
-    best: TypeKey | None = None
-    for table in _mask_tables(k):
-        cand = tuple(sorted(table[m] for m in masks))
-        if best is None or cand < best:
-            best = cand
-    assert best is not None
-    return best
+    return canonical_type(masks, k)
 
 
 def representative_blocks(tkey: TypeKey, k: int, d: int) -> list[tuple[int, ...]]:
@@ -103,15 +106,17 @@ def representative_blocks(tkey: TypeKey, k: int, d: int) -> list[tuple[int, ...]
     return blocks
 
 
-def _einsum_subscripts(tkey: TypeKey, k: int) -> str:
+def _einsum_subscripts(tkey: TypeKey, k: int, open_block: int | None) -> str:
     """``np.einsum`` subscripts contracting ``k`` kernel copies along an
     incidence type: one letter per block, each copy indexed by the letters of
-    the blocks that touch it (any order, the kernel being symmetric)."""
+    the blocks that touch it (any order, the kernel being symmetric); the
+    open block's letter, if any, is the output."""
     letters = string.ascii_letters
     terms = (
         "".join(letters[b] for b, mask in enumerate(tkey) if mask >> u & 1) for u in range(k)
     )
-    return ",".join(terms) + "->"
+    out = "" if open_block is None else letters[open_block]
+    return ",".join(terms) + "->" + out
 
 
 @lru_cache(maxsize=None)
@@ -119,7 +124,8 @@ def _einsum_path(subscripts: str, n: int) -> tuple | None:
     """The greedy contraction order for copies of an ``n^d`` tensor, with
     every intermediate within ``DENSE_CAP`` entries; None when the planner
     cannot avoid a step over three or more operands at once (a naive loop)."""
-    shapes = [np.broadcast_to(np.int64(0), (n,) * len(t)) for t in subscripts[:-2].split(",")]
+    inputs = subscripts.split("->")[0].split(",")
+    shapes = [np.broadcast_to(np.int64(0), (n,) * len(t)) for t in inputs]
     path, _ = np.einsum_path(subscripts, *shapes, optimize=("greedy", DENSE_CAP))
     if any(len(step) > 2 for step in path[1:]):
         return None
@@ -136,7 +142,7 @@ class KernelContractor:
         self.den, self.ints = kernel.int_entries()
         self._ordered: dict[tuple[int, ...], int] | None = None
         self._patterns: dict[tuple[int, ...], dict] = {}
-        self._type_memo: dict[tuple[int, TypeKey], int] = {}
+        self._type_memo: dict[tuple[int, TypeKey, int | None], int | tuple[int, ...]] = {}
         self.backend_types: Counter[str] = Counter()
 
     @classmethod
@@ -168,9 +174,13 @@ class KernelContractor:
             self._patterns[bound_pos] = idx
         return idx
 
-    def _contract_blocks(self, blocks: list[tuple[int, ...]], k: int) -> int:
+    def _contract_blocks(
+        self, blocks: list[tuple[int, ...]], k: int, open_block: int | None = None
+    ) -> int | tuple[int, ...]:
         """Integer contraction of ``k`` kernel copies along explicit blocks
-        (sequential copy elimination with live-variable projection)."""
+        (sequential copy elimination with live-variable projection).  An open
+        block stays live past the last copy, and the final states, grouped
+        by its index, give one integer per index in ``[n]``."""
         d = self.kernel.d
         pos_block: dict[int, int] = {}
         for bi, b in enumerate(blocks):
@@ -183,6 +193,8 @@ class KernelContractor:
         for u in range(k):
             for b in factor_blocks[u]:
                 last_use[b] = u
+        if open_block is not None:
+            last_use[open_block] = k
         states: dict[tuple[int, ...], int] = {(): 1}
         live: list[int] = []
         for u in range(k):
@@ -209,33 +221,55 @@ class KernelContractor:
                         new_states[key] = c
             states = new_states
             if not states:
-                return 0
-        return sum(states.values())
+                break
+        if open_block is None:
+            return sum(states.values())
+        per_index = [0] * self.kernel.n
+        for (i,), c in states.items():
+            per_index[i - 1] = c
+        return tuple(per_index)
 
-    def _contract_dense(self, tkey: TypeKey, k: int) -> int | None:
+    def _contract_dense(
+        self, tkey: TypeKey, k: int, open_block: int | None = None
+    ) -> int | tuple[int, ...] | None:
         """The type's integer contraction by ``np.einsum``, or None when the
         dense backend may not run it (see the module docstring)."""
         tensor = dense_numerators(self.kernel, k, len(tkey))
         if tensor is None:
             return None
-        subscripts = _einsum_subscripts(tkey, k)
+        subscripts = _einsum_subscripts(tkey, k, open_block)
         path = _einsum_path(subscripts, self.kernel.n)
         if path is None:
             return None
-        return int(np.einsum(subscripts, *[tensor] * k, optimize=path))
+        out = np.einsum(subscripts, *[tensor] * k, optimize=path)
+        return int(out) if open_block is None else tuple(out.tolist())
 
-    def type_value(self, tkey: TypeKey, k: int) -> int:
-        """Memoized integer contraction for an incidence type."""
-        memo_key = (k, tkey)
+    def _contract(self, tkey: TypeKey, k: int, open_block: int | None):
+        """Memoized contraction of a type, summed over every block but
+        ``open_block``, by the first backend that may run it."""
+        memo_key = (k, tkey, open_block)
         val = self._type_memo.get(memo_key)
         if val is None:
-            val, backend = self._contract_dense(tkey, k), "dense"
+            val, backend = self._contract_dense(tkey, k, open_block), "dense"
             if val is None:
                 blocks = representative_blocks(tkey, k, self.kernel.d)
-                val, backend = self._contract_blocks(blocks, k), "sparse"
+                val, backend = self._contract_blocks(blocks, k, open_block), "sparse"
             self.backend_types[backend] += 1
             self._type_memo[memo_key] = val
         return val
+
+    def type_value(self, tkey: TypeKey, k: int) -> int:
+        """Memoized integer contraction for an incidence type."""
+        return self._contract(tkey, k, None)
+
+    def type_marginal(self, tkey: TypeKey, k: int) -> tuple[int, ...]:
+        """The type's integer contraction with its one full block (shared by
+        all ``k`` copies) left unsummed: one integer per index in ``[n]``,
+        adding up to ``type_value``."""
+        full = [b for b, mask in enumerate(tkey) if mask == (1 << k) - 1]
+        if len(full) != 1:
+            raise HomsumError(f"type {tkey} needs exactly one full block, has {len(full)}")
+        return self._contract(tkey, k, full[0])
 
     def partition_value(self, p: Partition, k: int) -> Fraction:
         """Exact assignment sum for one explicit partition of ``[k*d]``."""
@@ -270,7 +304,6 @@ def _counted_types(
     # closing[i]: the copies whose cover is final once masks[i] is chosen
     last = {u: max(i for i, s in enumerate(masks) if s >> u & 1) for u in range(k)}
     closing = [[u for u in range(k) if last[u] == i] for i in range(len(masks))]
-    tables = _mask_tables(k)
     labelings = math.factorial(d) ** k
     agg: dict[TypeKey, int] = {}
     left = [d] * k
@@ -279,7 +312,7 @@ def _counted_types(
     def rec(i: int) -> None:
         if i == len(masks):
             blocks = [s for s, mult in chosen for _ in range(mult)]
-            tkey = min(tuple(sorted(t[m] for m in blocks)) for t in tables)
+            tkey = canonical_type(blocks, k)
             overcount = math.prod(math.factorial(mult) for _, mult in chosen)
             agg[tkey] = agg.get(tkey, 0) + labelings // overcount
             return

@@ -3,6 +3,9 @@ pairings, the fourth-moment contraction identity, the nested free-cumulant
 closed form, and the non-crossing partition oracle with its structural
 pairs-plus-one-four-block decomposition.
 
+The closed form's per-index slice moments are parent-kernel types whose
+slice index block is left unsummed; no slice kernel is built.
+
 Scaling convention: a homogeneous sum over an admissible kernel has second
 moment ``1/d!``, so "target" comparisons use the ``d!``-rescaled sum.  Reports
 carry both the raw value and the ``d!^(k/2)``-scaled value.
@@ -16,13 +19,14 @@ from math import factorial
 
 from .contract import (
     KernelContractor,
+    canonical_type,
     cap_check,
     cumulant_weight,
     partition_class_size,
     weighted_sum,
 )
 from .errors import AssumptionViolation, HomsumError
-from .kernels import Kernel, contraction_square_sum, slice_kernel
+from .kernels import Kernel, contraction_square_sum
 from .laws import FreeLaw
 from .partitions import rho_partitions
 from .reports import MomentReport
@@ -71,20 +75,13 @@ def semicircular_moment(kernel: Kernel, order: int) -> MomentReport:
     )
 
 
-def _contraction_fourth(kernel: Kernel) -> Fraction:
-    total = 2 * free_second_moment(kernel) ** 2
-    for s in range(1, kernel.d):
-        total += contraction_square_sum(kernel, s)
-    return total
-
-
 def semicircular_fourth_moment_contraction(kernel: Kernel) -> MomentReport:
     """``phi(Q_S(f)^4)`` from the contraction identity
     ``2 (sum f^2)^2 + sum_s ||overlap-s contraction||^2``."""
     detail = {"2*(sum f^2)^2": 2 * free_second_moment(kernel) ** 2}
     for s in range(1, kernel.d):
         detail[f"s={s}"] = contraction_square_sum(kernel, s)
-    value = _contraction_fourth(kernel)
+    value = sum(detail.values(), Fraction(0))
     return MomentReport(
         value=value,
         method="closed-form",
@@ -105,13 +102,22 @@ def slice_fourth_sum(kernel: Kernel) -> Fraction:
 
 def _free_components(kernel: Kernel) -> tuple[Fraction, dict[int, Fraction]]:
     """Law-independent pieces of the free closed form: the semicircular fourth
-    moment and each slice's semicircular fourth moment."""
-    per_k = {}
-    for k in range(1, kernel.n + 1):
-        sl = slice_kernel(kernel, (k,))
-        if sl.entries:
-            per_k[k] = _contraction_fourth(sl)
-    return _contraction_fourth(kernel), per_k
+    moment and, per index ``k`` of the support, that of the slice ``f(k,.)``.
+    The slice's contraction identity is the sum over ``s = 0..e`` of the types
+    ``{3^s, 12^s, 5^(e-s), 10^(e-s)}`` (``e = d - 1``; ``s = 0`` and ``s = e``
+    are both the pairing term), each with the slice index as one more block,
+    of mask 15, left unsummed."""
+    contractor = KernelContractor.of(kernel)
+    e = kernel.d - 1
+    per_index = [0] * kernel.n
+    for s in range(e + 1):
+        masks = (3,) * s + (12,) * s + (5,) * (e - s) + (10,) * (e - s) + (15,)
+        marginal = contractor.type_marginal(canonical_type(masks, 4), 4)
+        per_index = [acc + v for acc, v in zip(per_index, marginal)]
+    # a slice's value is at least 2 (sum f(k,.)^2)^2, so it is nonzero
+    # exactly on the support
+    per_k = {k: contractor.from_int(v, 4) for k, v in enumerate(per_index, 1) if v}
+    return semicircular_fourth_moment_contraction(kernel).value, per_k
 
 
 def free_fourth_moment(kernel: Kernel, law: FreeLaw) -> MomentReport:

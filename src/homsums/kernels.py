@@ -1,5 +1,8 @@
 """Symmetric kernels vanishing on diagonals: construction, admissibility,
-slices, influences, contractions, and the named kernel families.
+slices, influences, the overlap contraction, and the named kernel families.
+
+The engines build no slice kernels (their slice sums are parent-kernel
+contractions); ``slice_kernel`` is a library helper.
 
 Storage convention: only strictly increasing index tuples are kept, with the
 full symmetric extension implied and every diagonal tuple structurally zero.
@@ -389,39 +392,31 @@ def influence(kernel: Kernel, i: int) -> Fraction:
 
 
 def influence_max(kernel: Kernel) -> Fraction:
+    """The largest ``influence(kernel, i)``, from one pass over the support."""
     if kernel.n == 0:
         return Fraction(0)
-    return max(influence(kernel, i) for i in range(1, kernel.n + 1))
+    den, ints = kernel.int_entries()
+    acc = [0] * kernel.n
+    for t, v in ints.items():
+        for i in t:
+            acc[i - 1] += v * v
+    return kernel.scale2 * factorial(kernel.d - 1) * Fraction(max(acc), den * den)
 
 
 def contraction_square_sum(kernel: Kernel, s: int) -> Fraction:
     """Sum over two free ``(d-s)``-tuples of the squared overlap contraction
-    of the kernel with itself along ``s`` shared slots."""
+    of the kernel with itself along ``s`` shared slots: the one type of four
+    copies in which copies 1, 2 and copies 3, 4 share the ``s`` slots (masks
+    3, 12) and copies 1, 3 and 2, 4 share the free tuples (masks 5, 10)."""
+    # contract imports this module, so this one is bound at call time
+    from .contract import KernelContractor, canonical_type
+
     d = kernel.d
     if s < 1 or s > d - 1:
         raise HomsumError(f"overlap size must satisfy 1 <= s <= d-1, got s={s}, d={d}")
-    den, ints = kernel.int_entries()
-    n = kernel.n
-    tensor = dense_numerators(kernel, 4, 2 * d)
-    if tensor is not None:
-        # the squared Frobenius norm of M M^T equals that of M^T M: take the
-        # smaller Gram matrix
-        m = tensor.reshape(n ** (d - s), n**s)
-        gram = m.T @ m if s < d - s else m @ m.T
-        return Fraction(int((gram * gram).sum()), den**4) * kernel.scale2**2
-    # group the ordered extension by its ordered s-suffix
-    by_suffix: dict[tuple[int, ...], list[tuple[tuple[int, ...], int]]] = {}
-    for t, v in ints.items():
-        for p in itertools.permutations(t):
-            by_suffix.setdefault(p[d - s :], []).append((p[: d - s], v))
-    overlaps: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}
-    for group in by_suffix.values():
-        for (j, vj) in group:
-            for (k, vk) in group:
-                key = (j, k)
-                overlaps[key] = overlaps.get(key, 0) + vj * vk
-    total = sum(v * v for v in overlaps.values())
-    return Fraction(total, den**4) * kernel.scale2**2
+    tkey = canonical_type((3,) * s + (12,) * s + (5,) * (d - s) + (10,) * (d - s), 4)
+    contractor = KernelContractor.of(kernel)
+    return contractor.from_int(contractor.type_value(tkey, 4), 4)
 
 
 # -- kernel families ---------------------------------------------------------

@@ -299,45 +299,22 @@ def joint_cumulant_value(
     return value
 
 
-def _pairings_of(elems: tuple[int, ...], interval_len: int):
-    """Pairings of an arbitrary sorted element tuple, no pair within one
-    interval of length ``interval_len``."""
-    if not elems:
-        yield ()
-        return
-    a = elems[0]
-    for i in range(1, len(elems)):
-        b = elems[i]
-        if (a - 1) // interval_len == (b - 1) // interval_len:
-            continue
-        rest = elems[1:i] + elems[i + 1 :]
-        for tail in _pairings_of(rest, interval_len):
-            yield ((a, b),) + tail
-
-
 @lru_cache(maxsize=None)
 def _rho_cached(d: int) -> tuple[Partition, ...]:
     m = 4 * d
     pattern = IntervalPattern(d, 4)
-    rhos: list[Partition] = []
-    for h in range(1, d + 1):
-        four = (h, 2 * d - h + 1, 2 * d + h, 4 * d - h + 1)
-        rest = tuple(x for x in range(1, m + 1) if x not in four)
-        completions = []
-        for pairs in _pairings_of(rest, d):
-            cand = Partition(m, [four, *pairs])
-            if is_noncrossing(cand) and respects(cand, pattern):
-                completions.append(cand)
-        if len(completions) != 1:
-            raise HomsumError(
-                f"rho completion not unique for d={d}, h={h}: "
-                f"{len(completions)} found (implementation bug)"
-            )
-        rhos.append(completions[0])
+    full = enumerate_partitions(m, PAIRS_AND_FOURS, pattern, noncrossing=True)
+    rhos = sorted(
+        (p for p in full if not p.is_pairing()),
+        key=lambda p: [b for b in p.blocks if len(b) == 4],
+    )
+    fours = [[b for b in p.blocks if len(b) == 4] for p in rhos]
+    want = [[(h, 2 * d - h + 1, 2 * d + h, 4 * d - h + 1)] for h in range(1, d + 1)]
+    if fours != want:
+        raise HomsumError(f"rho 4-blocks for d={d} are {fours}, not {want} (bug)")
     # disjoint-union identity: the 2,4-class is the pairings plus the rhos
-    full = set(enumerate_partitions(m, PAIRS_AND_FOURS, pattern, noncrossing=True))
     pair_part = set(enumerate_partitions(m, PAIRS_ONLY, pattern, noncrossing=True))
-    if full != pair_part | set(rhos) or len(full) != len(pair_part) + d:
+    if set(full) != pair_part | set(rhos) or len(full) != len(pair_part) + d:
         raise HomsumError(f"rho decomposition identity failed for d={d}")
     return tuple(rhos)
 
@@ -346,10 +323,9 @@ def rho_partitions(d: int) -> list[Partition]:
     """The ``d`` exceptional single-4-block elements of the non-crossing
     2,4-class on ``[4d]``.
 
-    The 4-block of the ``h``-th partition is ``{h, 2d-h+1, 2d+h, 4d-h+1}``;
-    its pair blocks are found by exhaustive completion search, asserting
-    uniqueness, and the disjoint-union identity against the full enumeration
-    is re-verified on every (cached) construction.
+    They are the class's non-pairing members.  Every (cached) construction
+    asserts one per ``h``, with the single 4-block ``{h, 2d-h+1, 2d+h,
+    4d-h+1}``, and the class as their disjoint union with the pairings.
     """
     if d < 2:
         raise HomsumError("rho partitions need degree >= 2")

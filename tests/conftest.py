@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import pytest
 
+from homsums import Kernel
+
 #: acceptance tests append "criterion N: PASS/FAIL" lines here; the summary
 #: hook prints them after the run so they are visible without -s
 ACCEPTANCE_LINES: list[str] = []
@@ -27,6 +29,21 @@ def pair_family_fourth_cumulant(n, m4):
 @pytest.fixture
 def rng():
     return random.Random(20240817)
+
+
+@pytest.fixture
+def built_kernels(monkeypatch):
+    """The argument tuples of every ``Kernel`` constructed while the test
+    runs."""
+    built = []
+    real = Kernel.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(args)
+        real(self, *args, **kwargs)
+
+    monkeypatch.setattr(Kernel, "__init__", counting)
+    return built
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -8,11 +8,12 @@ bottom of this file, which share no code with the engines.
 
 import itertools
 from fractions import Fraction
-from math import comb, factorial
+from math import factorial
 
 import pytest
 
 from conftest import pair_family_fourth_cumulant
+from slicing_reference import classical_slice_sums_by_slicing, reference_kernels
 from homsums import classical
 from homsums import (
     AssumptionViolation,
@@ -29,7 +30,7 @@ from homsums import (
     random_admissible_kernel,
     rescaled_kernel,
 )
-from homsums.contract import partition_class_size
+from homsums.contract import KernelContractor, partition_class_size
 
 
 def brute_fourth_moment(kernel, law):
@@ -85,14 +86,15 @@ def test_pair_family_closed_form_matches_brute_expansion(m4):
         assert pair_family_fourth_cumulant(n, m4) + 3 == brute_fourth_moment(k, law)
 
 
-def test_pair_family_closed_form_pinned_at_n_128():
+@pytest.mark.parametrize("n", [128, 512])
+def test_pair_family_closed_form_pinned_at_large_n(n):
     """The engine's closed form equals the pair family's exact fourth
     cumulant (plus 3) well beyond criterion 9a's n = 64."""
-    k = family_kernel(KernelFamily("off-diagonal-pair", 2), 128)
+    k = family_kernel(KernelFamily("off-diagonal-pair", 2), n)
     for m4 in (Fraction(3), Fraction(9, 2)):
         law = ClassicalLaw.from_fourth_moment(m4)
         value = classical_fourth_moment_formula(k, law).value
-        assert value == pair_family_fourth_cumulant(128, m4) + 3
+        assert value == pair_family_fourth_cumulant(n, m4) + 3
 
 
 def test_gaussian_fourth_moment_matches_brute_expansion(rng):
@@ -201,24 +203,25 @@ def test_oracle_class_size_at_degree_four():
     assert partition_class_size(4, frozenset({2, 3, 4}), 4, False) == 18_366_912
 
 
-def test_closed_form_builds_slice_kernels_once(rng, monkeypatch):
-    # the slice sums are law-independent: a second law reuses them
-    calls = []
-    real = classical.slice_kernel
-
-    def counting(kernel, fixed):
-        calls.append(fixed)
-        return real(kernel, fixed)
-
-    monkeypatch.setattr(classical, "slice_kernel", counting)
+def test_closed_form_builds_no_kernel_and_reuses_its_types(rng, built_kernels):
+    # the slice sums are contractions of the parent kernel and
+    # law-independent: a second law contracts no new type
     kernel = random_admissible_kernel(rng, 3, 5)
-    support = len({i for t in kernel.entries for i in t})
-    slices = comb(support, 1) + comb(support, 2)  # slice orders m = 1, 2 of d = 3
+    built_kernels.clear()
     first = classical_fourth_moment_formula(kernel, ClassicalLaw.rademacher()).value
-    assert len(calls) == slices
+    memo = dict(KernelContractor.of(kernel)._type_memo)
     second = classical_fourth_moment_formula(kernel, ClassicalLaw.from_fourth_moment(9)).value
-    assert len(calls) == slices
+    assert built_kernels == []
+    assert KernelContractor.of(kernel)._type_memo == memo
     assert first != second
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_slice_sums_equal_slice_by_slice_reference(d):
+    """Every slice order's parent-kernel type sum equals the Wick sums of the
+    slice kernels themselves, on dense, sparse and float-mode kernels."""
+    for kernel in reference_kernels(d).values():
+        assert classical._slice_fourth_sums(kernel) == classical_slice_sums_by_slicing(kernel)
 
 
 def test_oracle_handles_third_cumulants_where_formula_cannot():

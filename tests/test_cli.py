@@ -3,6 +3,7 @@
 import json
 import re
 import shlex
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -310,3 +311,46 @@ def test_out_file_written_atomically(tmp_path, pair_file, capsys):
     assert json.loads(out_file.read_text())["mean"] == 1.0
     leftovers = [p for p in out_file.parent.iterdir() if p.name.startswith(".homsums-")]
     assert leftovers == []
+
+
+# -- the benchmark's pinned payloads ---------------------------------------------------
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def _cli_cold_workload():
+    """The benchmark's ``cli-cold`` workload class, imported from
+    ``perfbench/`` (whose modules import each other by bare name)."""
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        from workloads import CliCold
+    finally:
+        sys.path.remove(str(PERFBENCH))
+    return CliCold
+
+
+CliCold = _cli_cold_workload()
+
+
+@pytest.fixture(scope="module")
+def cli_cold(tmp_path_factory):
+    """A ``cli-cold`` workload whose set-up has written its kernel files to a
+    fresh directory, each checked against the pinned file."""
+    pinned = json.loads((PERFBENCH / "pinned.json").read_text())
+    workload = CliCold(0, tmp_path_factory.mktemp("cli-cold"), pinned)
+    workload.setup()
+    assert workload.setup_errors == []
+    return workload
+
+
+@pytest.mark.parametrize(
+    "slot, arg", CliCold(0, Path(), None).all_inputs(), ids=lambda v: str(v)
+)
+def test_cli_cold_payloads_match_pinned(cli_cold, slot, arg, capsys):
+    """Every ``cli-cold`` op, run in-process, prints the payload the
+    benchmark pins, except for the kernel file path."""
+    code, out, err = run(cli_cold.argv(slot, arg), capsys)
+    assert code == 0, err
+    payload = json.loads(out)
+    payload.pop("kernel", None)
+    assert payload == cli_cold.pinned[cli_cold.pin_key(slot, arg)]

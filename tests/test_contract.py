@@ -14,6 +14,7 @@ from homsums import (
     BlockProfile,
     ClassicalLaw,
     FreeLaw,
+    HomsumError,
     IntervalPattern,
     Kernel,
     KernelFamily,
@@ -174,17 +175,24 @@ def cli_cold_kernel(d, n):
 
 
 def backends_used(kernel):
-    """The backends that contracted the types of the kernel's Wick sum and,
-    up to degree 4, of its classical oracle."""
+    """The backends that contracted the types of the kernel's Wick sum, its
+    classical closed form, up to degree 4 its classical oracle, and from
+    degree 2 its free closed form and contraction identity."""
+    law = ClassicalLaw.from_fourth_moment(Fraction(9, 2))
     gaussian_fourth_moment(kernel)
+    classical_fourth_moment_formula(kernel, law)
     if kernel.d <= 4:
-        classical_fourth_moment_oracle(kernel, ClassicalLaw.from_fourth_moment(Fraction(9, 2)))
+        classical_fourth_moment_oracle(kernel, law)
+    if kernel.d >= 2:
+        free_fourth_moment(kernel, FreeLaw.free_rademacher())
     return set(KernelContractor.of(kernel).backend_types)
 
 
 def test_backend_dispatch():
+    # the kernels of both benchmark workloads contract densely
     dense = [cli_cold_kernel(3, 6), cli_cold_kernel(4, 7), cli_cold_kernel(5, 7)]
-    dense.append(family_kernel(KernelFamily("off-diagonal-pair", 2), 48))
+    dense += [family_kernel(KernelFamily("off-diagonal-pair", 2), n) for n in (24, 48)]
+    dense += [family_kernel(KernelFamily("free-clt", 3), n) for n in (4, 10)]
     for kernel in dense:
         assert backends_used(kernel) == {"dense"}, kernel
     degree_one = slice_kernel(cli_cold_kernel(3, 6), (1, 2))
@@ -196,3 +204,20 @@ def test_backend_dispatch():
     sparse = [degree_one, family_kernel(KernelFamily("star", 3), 50), float_mode]
     for kernel in sparse:
         assert backends_used(kernel) == {"sparse"}, kernel
+
+
+def test_type_marginal_is_equal_on_both_backends():
+    """The open-block marginal is one integer per index, the same from the
+    dense and the sparse backend, and adds up to the type's value."""
+    kernel = random_admissible_kernel(random.Random(3), 3, 5)
+    dense, sparse = KernelContractor(kernel), KernelContractor(kernel)
+    sparse._contract_dense = lambda *args: None
+    for tkey in ((3, 3, 12, 12, 15), (3, 5, 10, 12, 15)):
+        marginal = dense.type_marginal(tkey, 4)
+        assert len(marginal) == kernel.n
+        assert marginal == sparse.type_marginal(tkey, 4)
+        assert sum(marginal) == dense.type_value(tkey, 4) == sparse.type_value(tkey, 4)
+    assert dense.backend_types == {"dense": 4}
+    assert sparse.backend_types == {"sparse": 4}
+    with pytest.raises(HomsumError):
+        dense.type_marginal((3, 12, 15, 15), 4)

@@ -33,6 +33,7 @@ from homsums import (
 )
 from homsums import free
 from homsums.contract import KernelContractor
+from slicing_reference import free_slice_moments_by_slicing, reference_kernels
 
 
 def brute_pairings(elems):
@@ -245,6 +246,14 @@ def test_rho_contributions_symmetric_in_h(rng):
         assert contractor.partition_value(rhos[0], 4) == contractor.partition_value(rhos[-1], 4)
 
 
+@pytest.mark.parametrize("d, n", [(5, 6), (5, 8), (6, 7)])
+def test_oracle_equals_closed_form_at_high_degree(d, n):
+    """Both free routes agree exactly up to the ground cap 4d = 24."""
+    k = random_admissible_kernel(random.Random(d * n), d, n)
+    for law in (FreeLaw.free_rademacher(), FreeLaw.from_fourth_moment(Fraction(7, 2))):
+        assert free_fourth_moment_oracle(k, law).value == free_fourth_moment(k, law).value
+
+
 def test_rho_part_equals_slice_fourth_sum(rng):
     k = random_admissible_kernel(rng, 2, 4)
     law = FreeLaw.free_rademacher()
@@ -292,22 +301,29 @@ def test_difference_identity_random(rng):
         assert free_difference_identity(k, law_a, law_b)["equal"]
 
 
-def test_closed_form_builds_slice_kernels_once(rng, monkeypatch):
-    # the slice components are law-independent: a second law reuses them
-    calls = []
-    real = free.slice_kernel
-
-    def counting(kernel, fixed):
-        calls.append(fixed)
-        return real(kernel, fixed)
-
-    monkeypatch.setattr(free, "slice_kernel", counting)
+def test_closed_form_builds_no_kernel_and_reuses_its_types(rng, built_kernels):
+    # the per-index slice moments are contractions of the parent kernel and
+    # law-independent: a second law contracts no new type
     kernel = random_admissible_kernel(rng, 3, 5)
+    built_kernels.clear()
     first = free_fourth_moment(kernel, FreeLaw.free_rademacher()).value
-    assert len(calls) == kernel.n
+    memo = dict(KernelContractor.of(kernel)._type_memo)
     second = free_fourth_moment(kernel, FreeLaw.from_fourth_moment(5)).value
     assert slice_fourth_sum(kernel) == (second - first) / 4
-    assert len(calls) == kernel.n
+    assert built_kernels == []
+    assert KernelContractor.of(kernel)._type_memo == memo
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_slice_moments_equal_slice_by_slice_reference(d):
+    """Every index's marginal of the parent-kernel types equals the
+    contraction identity on the slice kernel itself, with the same indices
+    in the same order, on dense, sparse and float-mode kernels."""
+    for kernel in reference_kernels(d).values():
+        _, per_k = free._free_components(kernel)
+        want = free_slice_moments_by_slicing(kernel)
+        assert list(per_k.items()) == list(want.items())
+        assert slice_fourth_sum(kernel) == sum(want.values())
 
 
 # -- positivity and monotonicity (sampled) ----------------------------------------------

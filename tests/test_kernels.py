@@ -26,8 +26,9 @@ from homsums import (
     random_admissible_kernel,
     slice_kernel,
 )
-from homsums import kernels
+from homsums.contract import KernelContractor
 from homsums.kernels import dense_numerators
+from slicing_reference import reference_kernels, square_sum_by_gram, square_sum_by_grouping
 
 
 def pair_kernel():
@@ -159,6 +160,16 @@ def test_influence_edge_cases():
         influence(prod, 4)
 
 
+def test_influence_max_is_the_largest_influence():
+    rng = random.Random(11)
+    cases = [random_admissible_kernel(rng, d, 6) for d in (2, 3, 4)]
+    cases += [family_kernel(KernelFamily("star", d), 9) for d in (2, 3)]
+    cases += [family_kernel(KernelFamily("off-diagonal-pair", 2), n) for n in (2, 7)]
+    cases.append(Kernel(4, 2, {(1, 2): Fraction(-3, 7), (2, 4): Fraction(5, 2)}, 3))
+    for k in cases:
+        assert influence_max(k) == max(influence(k, i) for i in range(1, k.n + 1)), k
+
+
 def test_influences_sum_to_sq_norm():
     rng = random.Random(7)
     for d in (2, 3):
@@ -185,15 +196,31 @@ def test_contraction_square_sum_relabel_invariant(rng):
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5])
-def test_dense_square_sum_equals_dict_grouping(d, monkeypatch):
-    """The dense Gram-matrix route and the d!-permutation dict grouping give
-    the same exact value at every overlap size."""
+def test_dense_square_sum_equals_dict_grouping(d):
+    """The dense type contraction, the Gram-matrix reference and the
+    d!-permutation dict grouping give the same exact value at every overlap
+    size."""
     kernel = random_admissible_kernel(random.Random(d), d, 6)
     assert dense_numerators(kernel, 4, 2 * d) is not None
-    dense = [contraction_square_sum(kernel, s) for s in range(1, d)]
-    monkeypatch.setattr(kernels, "dense_numerators", lambda *args: None)
-    again = Kernel(kernel.n, d, kernel.entries, kernel.scale2)
-    assert dense == [contraction_square_sum(again, s) for s in range(1, d)]
+    for s in range(1, d):
+        typed = contraction_square_sum(kernel, s)
+        assert typed == square_sum_by_gram(kernel, s) == square_sum_by_grouping(kernel, s)
+    assert set(KernelContractor.of(kernel).backend_types) == {"dense"}
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_square_sum_equals_references_on_every_backend(d):
+    """Per overlap size, the one type contraction equals the dict grouping on
+    dense, sparse and float-mode kernels, and the Gram matrix where the
+    kernel has an int64-safe dense tensor."""
+    for name, kernel in reference_kernels(d).items():
+        gram_ok = dense_numerators(kernel, 4, 2 * d) is not None
+        assert gram_ok == (name == "dense"), name
+        for s in range(1, d):
+            typed = contraction_square_sum(kernel, s)
+            assert typed == square_sum_by_grouping(kernel, s), (name, s)
+            if gram_ok:
+                assert typed == square_sum_by_gram(kernel, s), (name, s)
 
 
 def test_dense_square_sum_at_the_int64_bound():
