@@ -39,7 +39,6 @@ from .partitions import (
     Partition,
     enumerate_partitions,
     is_noncrossing,
-    joint_cumulant_value,
     respects,
     rho_partitions,
 )

@@ -1,10 +1,16 @@
 """Monte Carlo estimation of homogeneous-sum moments.
 
 Sampling uses numpy's Philox counter-based bit generator keyed by the
-sampler seed, with a fixed batch layout, so estimates are reproducible
-bit-for-bit for a given sampler description regardless of platform.  The
-estimator is the plain empirical mean; the exact engines are the primary
-truth and this module is an independent cross-check.
+sampler seed, with a fixed batch layout, so the sampled entries are
+reproducible bit-for-bit for a given sampler description regardless of
+platform; the sum runs on BLAS, so an estimate repeats bit-for-bit on one
+numpy build and may differ in its last bits on another.  The estimator is
+the plain empirical mean; the exact engines are the primary truth and this
+module is an independent cross-check.
+
+The sum is evaluated on a batch by nesting it over prefixes of the sorted
+support (``_horner_plan``): one matmul for the last index, then per earlier
+index a product with the entries and a sum over each prefix's children.
 """
 
 from __future__ import annotations
@@ -22,8 +28,9 @@ LAW_IDS = ("rademacher", "gaussian", "two-point", "mixture-T", "product-TX")
 BASE_IDS = ("gaussian", "rademacher")
 
 _BATCH = 1 << 16
-#: Most float64 elements one support chunk's gather (batch x chunk x d) holds.
-_GATHER_BUDGET = 1 << 22
+#: Most float64 values one intermediate of a row chunk holds (512 KiB), so
+#: that a chunk's intermediates stay in cache.
+_GATHER_BUDGET = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -77,12 +84,17 @@ def _generator(seed: int) -> np.random.Generator:
 
 
 def _signs(rng: np.random.Generator, shape) -> np.ndarray:
-    return rng.integers(0, 2, size=shape).astype(np.float64) * 2.0 - 1.0
+    return np.array([-1.0, 1.0]).take(rng.integers(0, 2, size=shape))
 
 
 def _mixture_t(rng: np.random.Generator, shape, alpha: float, q: int) -> np.ndarray:
-    v = 1.0 + alpha * _signs(rng, shape + (q,))
-    return np.sqrt(np.prod(v, axis=-1))
+    """``sqrt(V_1 ... V_q)`` with ``V_j = 1 + alpha * sign``, the factors
+    looked up and multiplied left to right over ``j``."""
+    v = np.array([1.0 + alpha * -1.0, 1.0 + alpha * 1.0]).take(rng.integers(0, 2, size=shape + (q,)))
+    t = v[..., 0]
+    for j in range(1, q):
+        t = t * v[..., j]
+    return np.sqrt(t)
 
 
 def _entries(rng: np.random.Generator, spec: SamplerSpec, shape) -> np.ndarray:
@@ -137,36 +149,73 @@ def alpha_for_moment_ratio(theta: float, q: int) -> float:
     return alpha
 
 
-def _kernel_weights(kernel: Kernel) -> tuple[np.ndarray, np.ndarray]:
-    """Index matrix (support x d, zero-based) and per-tuple weights
-    ``d! * value`` for evaluating the sum on a sample row."""
+def _horner_plan(kernel: Kernel) -> tuple[np.ndarray, list]:
+    """The homogeneous sum nested by prefixes of the sorted support,
+    ``Q = sum_{i1} x_{i1} sum_{i2>i1} x_{i2} ... sum_{id} w x_{id}`` with
+    ``w = d! * value``.
+
+    Returns the ``P_{d-1} x n`` matrix holding ``w`` at (prefix of length
+    d-1, last index), and one level per prefix length ``l = d-1, ..., 1``:
+    the last index of each ``l``-prefix, the first child of each
+    ``(l-1)``-prefix, and ``(parent, lo, hi)`` for each run of two or more
+    children (a parent's children are contiguous because the support is
+    sorted).  The empty kernel gets the zero plan of degree 1."""
+    d = kernel.d
     if not kernel.entries:
-        return np.zeros((0, kernel.d), dtype=np.int64), np.zeros(0)
-    idx = np.array([t for t in kernel.entries], dtype=np.int64) - 1
+        return np.zeros((1, kernel.n)), []
+    idx = np.array(list(kernel.entries), dtype=np.intp) - 1
     root = math.sqrt(kernel.scale2)
-    w = np.array(
-        [float(v) * root * math.factorial(kernel.d) for v in kernel.entries.values()]
-    )
-    return idx, w
+    w = np.array([float(v) * root * math.factorial(d) for v in kernel.entries.values()])
+    # new[l, k]: support row k starts a new prefix of length l
+    new = np.zeros((d, len(idx)), dtype=bool)
+    new[:, 0] = True
+    for l in range(1, d):
+        new[l, 1:] = new[l - 1, 1:] | (idx[1:, l - 1] != idx[:-1, l - 1])
+    prefix = np.cumsum(new[d - 1]) - 1
+    weights = np.zeros((prefix[-1] + 1, kernel.n))
+    weights[prefix, idx[:, d - 1]] = w
+    levels = []
+    for l in range(d - 1, 0, -1):
+        last = idx[new[l], l - 1]
+        starts = np.flatnonzero(new[l - 1][new[l]])
+        bounds = [*starts.tolist(), len(last)]
+        runs = [(j, a, b) for j, (a, b) in enumerate(zip(bounds, bounds[1:])) if b > a + 1]
+        levels.append((last, starts, runs))
+    return weights, levels
+
+
+def _homogeneous_sum(kernel: Kernel, x: np.ndarray) -> np.ndarray:
+    """``Q(f; x)`` for every row of ``x``: one matmul for the last index,
+    then per prefix level a gather, a product and a sum over each run.
+    Rows go in chunks so that no intermediate holds more than
+    ``_GATHER_BUDGET`` values."""
+    weights, levels = kernel.derived(_horner_plan)
+    step = max(1, _GATHER_BUDGET // max(len(weights), kernel.n))
+    q = np.empty(len(x))
+    for lo in range(0, len(x), step):
+        xt = np.ascontiguousarray(x[lo : lo + step].T)
+        s = weights @ xt
+        for last, starts, runs in levels:
+            s *= xt[last]
+            out = s[starts]
+            for j, a, b in runs:
+                np.add.reduce(s[a:b], axis=0, out=out[j])
+            s = out
+        q[lo : lo + step] = s[0]
+    return q
 
 
 def estimate_moment(kernel: Kernel, spec: SamplerSpec, order: int) -> Estimate:
     """Empirical ``E[Q(f)^order]`` with its standard error."""
     if order not in (2, 3, 4):
         raise HomsumError(f"estimated orders are 2, 3, 4; got {order}")
-    idx, w = _kernel_weights(kernel)
     rng = _generator(spec.seed)
     chunks = []
     remaining = spec.sample_count
     while remaining > 0:
         batch = min(_BATCH, remaining)
         x = _entries(rng, spec, (batch, kernel.n))
-        # Q summed over chunks of the support, so the gather stays within budget
-        step = max(1, _GATHER_BUDGET // (batch * kernel.d))
-        q = np.zeros(batch)
-        for lo in range(0, len(w), step):
-            q += x[:, idx[lo : lo + step]].prod(axis=2) @ w[lo : lo + step]
-        chunks.append(q**order)
+        chunks.append(_homogeneous_sum(kernel, x) ** order)
         remaining -= batch
     vals = np.concatenate(chunks)
     mean = float(vals.mean())

@@ -1,5 +1,6 @@
 """Monte Carlo sampling: determinism, mixture weights, estimator accuracy."""
 
+import random
 import tracemalloc
 from fractions import Fraction
 
@@ -12,6 +13,7 @@ from homsums import (
     ClassicalLaw,
     Estimate,
     HomsumError,
+    Kernel,
     KernelFamily,
     SamplerSpec,
     UnknownSampler,
@@ -20,8 +22,11 @@ from homsums import (
     family_kernel,
     gaussian_fourth_moment,
     mixture_t_moment,
+    random_admissible_kernel,
     sample_mixture_t,
 )
+from montecarlo_reference import formula_entries, gather_sum
+from slicing_reference import reference_kernels
 
 N_SMOKE = 200_000
 
@@ -144,7 +149,7 @@ def test_estimate_json_fields():
 
 
 def test_estimate_moment_memory_is_bounded():
-    """The gather runs over chunks of the support: on the pair kernel at
+    """Q is evaluated in row chunks: on the pair kernel at
     n = 32 one 65,536-row batch allocates under 128 MiB (a single gather of
     65,536 x 496 x 2 float64s would take 496 MiB; the process peaked near
     795 MB before the gather was chunked)."""
@@ -159,12 +164,48 @@ def test_estimate_moment_memory_is_bounded():
     assert peak < 128 * 2**20
 
 
-def test_support_chunking_moves_only_the_last_bits(monkeypatch):
+def test_row_chunking_moves_only_the_last_bits(monkeypatch):
     kernel = family_kernel(KernelFamily("off-diagonal-pair", 2), 12)
     spec = SamplerSpec(law="gaussian", seed=3, sample_count=4096)
-    monkeypatch.setattr(montecarlo, "_GATHER_BUDGET", 4096 * 2 * 8)  # 9 chunks of 8
+    monkeypatch.setattr(montecarlo, "_GATHER_BUDGET", 12 * 512)  # 8 chunks of 512 rows
     chunked = estimate_moment(kernel, spec, 4)
-    monkeypatch.setattr(montecarlo, "_GATHER_BUDGET", 1 << 40)  # one gather
+    monkeypatch.setattr(montecarlo, "_GATHER_BUDGET", 1 << 40)  # one chunk
     whole = estimate_moment(kernel, spec, 4)
     assert chunked.mean == pytest.approx(whole.mean, rel=1e-12)
     assert chunked.stderr == pytest.approx(whole.stderr, rel=1e-12)
+
+
+def nested_sum_kernels(d):
+    """Every kernel shape the nested evaluation must handle at degree d."""
+    rng = random.Random(100 + d)
+    kernels = {"empty": Kernel(d + 2, d, {}), "random": random_admissible_kernel(rng, d, d + 3)}
+    if d >= 2:
+        kernels.update(reference_kernels(d))
+        kernels["free-clt"] = family_kernel(KernelFamily("free-clt", d), 3)
+    if d == 2:
+        kernels["pair"] = family_kernel(KernelFamily("off-diagonal-pair", 2), 24)
+    return kernels
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("budget", [montecarlo._GATHER_BUDGET, 1])
+def test_nested_sum_matches_gather_reference(d, budget, monkeypatch):
+    """Per row, the nested prefix evaluation equals the tuple-by-tuple
+    gather up to rounding: within 1e-12 of the sum of the terms' absolute
+    values, in one chunk and with one row per chunk."""
+    monkeypatch.setattr(montecarlo, "_GATHER_BUDGET", budget)
+    for name, kernel in nested_sum_kernels(d).items():
+        x = np.random.default_rng(d).standard_normal((300, kernel.n))
+        q = montecarlo._homogeneous_sum(kernel, x)
+        ref, scale = gather_sum(kernel, x)
+        assert np.all(np.abs(q - ref) <= 1e-12 * scale), name
+
+
+@pytest.mark.parametrize("q", [1, 2, 3, 4])
+@pytest.mark.parametrize("base", montecarlo.BASE_IDS)
+@pytest.mark.parametrize("law", montecarlo.LAW_IDS)
+def test_entries_equal_the_formulas_bit_for_bit(law, base, q):
+    for alpha in (0.5, 0.3):
+        spec = SamplerSpec(law=law, seed=q, sample_count=1, alpha=alpha, q=q, base=base)
+        drawn = montecarlo._entries(montecarlo._generator(q), spec, (257, 5))
+        assert np.array_equal(drawn, formula_entries(montecarlo._generator(q), spec, (257, 5)))

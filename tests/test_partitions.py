@@ -18,10 +18,10 @@ from homsums import (
     Partition,
     enumerate_partitions,
     is_noncrossing,
-    joint_cumulant_value,
     respects,
     rho_partitions,
 )
+from homsums.partitions import joint_cumulant_value
 
 PAIRS = BlockProfile({2})
 
