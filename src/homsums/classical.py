@@ -20,11 +20,11 @@ from fractions import Fraction
 from math import comb, factorial
 from typing import Sequence
 
-from .contract import KernelContractor, cap_check, grouped_types, partition_class_size, weighted_sum
+from .contract import KernelContractor, grouped_types, partition_class_size, weighted_sum
 from .errors import AssumptionViolation, GroundCapExceeded
 from .kernels import Kernel
 from .laws import ClassicalLaw
-from .partitions import GROUND_CAP
+from .partitions import GROUND_CAP, cap_check
 from .reports import MomentReport
 
 #: The partition oracle counts the interval-respecting classes on [4d] by
@@ -145,9 +145,7 @@ def rescaled_kernel(kernel: Kernel, t_values: Sequence) -> Kernel:
     return Kernel(kernel.n, kernel.d, entries, kernel.scale2, kernel.mode)
 
 
-def mixture_identity_check(
-    kernel: Kernel, law: ClassicalLaw, t_values: Sequence, use_oracle: bool | None = None
-) -> dict:
+def mixture_identity_check(kernel: Kernel, law: ClassicalLaw, t_values: Sequence) -> dict:
     """Check the conditional-moment separation identity behind the mixture
     construction: with ``a = E[Q^4]`` and ``b = E[Q^2]`` conditioned on the
     weights,
@@ -156,18 +154,17 @@ def mixture_identity_check(
 
     evaluated exactly on the reweighted kernel.  (Averaging the left side
     over the weights gives back ``E[Q^4] - 3``; the displayed form is the
-    pointwise identity under the average.)  Optionally cross-checks the
-    closed-form fourth moment against the partition oracle.
+    pointwise identity under the average.)  Up to ``ORACLE_MAX_DEGREE``
+    it also cross-checks the closed-form fourth moment against the
+    partition oracle (``oracle_agrees`` is None above it).
     """
     resc = rescaled_kernel(kernel, t_values)
     b = classical_second_moment(resc)
     a = classical_fourth_moment_formula(resc, law).value
     lhs = a - 6 * b + 3
     rhs = (a - 3 * b * b) + 3 * (b - 1) ** 2
-    if use_oracle is None:
-        use_oracle = kernel.d <= ORACLE_MAX_DEGREE and 4 * kernel.d <= GROUND_CAP
     oracle_agrees = None
-    if use_oracle:
+    if kernel.d <= ORACLE_MAX_DEGREE and 4 * kernel.d <= GROUND_CAP:
         oracle_agrees = classical_fourth_moment_oracle(resc, law).value == a
     return {
         "second_moment": b,

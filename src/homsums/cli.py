@@ -229,8 +229,6 @@ def _moment_reports(kernel: Kernel, law, regime: str, order: int) -> list[Moment
             )
         ]
     if order == 3:
-        if 3 * kernel.d > GROUND_CAP:
-            raise HomsumError("order-3 free moment beyond the enumeration cap")
         return [free_third_moment_oracle(kernel, law)]
     if order == 4:
         out = [free_fourth_moment(kernel, law)]

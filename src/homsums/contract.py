@@ -15,7 +15,9 @@ denominator, with the denominator and the kernel's squared scale factored
 back in at the end, so results are exact rationals.
 
 ``KernelContractor.type_value`` contracts a type by one of two backends,
-chosen from the kernel and the type alone:
+chosen from the kernel and the type alone.  Both read each copy's blocks
+straight from the type key (``_copy_blocks``), in any order, the kernel being
+symmetric:
 
 * dense: ``np.einsum`` over the full int64 numerator tensor, one index letter
   per block, ordered pairwise by ``np.einsum_path``'s greedy planner.  It runs
@@ -25,7 +27,8 @@ chosen from the kernel and the type alone:
   kernels, with denominators near 2^52, fail it), and the planner finds a
   path of pairwise steps whose intermediates stay within ``DENSE_CAP``;
 * sparse: otherwise, sequential copy elimination over the ordered support
-  (Python ints, no bound).
+  (Python ints, no bound).  Each copy lists its live blocks first, so the
+  support needs one index per live-block count, at most ``d + 1``.
 
 Both give the same integer; the contractor counts the distinct types each
 backend contracted in ``backend_types``.
@@ -43,22 +46,25 @@ import string
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import GroundCapExceeded, HomsumError
-from .kernels import DENSE_CAP, Kernel, dense_numerators
+from .errors import HomsumError
 from .laws import Number
-from .partitions import (
-    GROUND_CAP,
-    BlockProfile,
-    IntervalPattern,
-    Partition,
-    enumerate_partitions,
-)
+from .partitions import BlockProfile, IntervalPattern, Partition, enumerate_partitions
+
+if TYPE_CHECKING:
+    from .kernels import Kernel
 
 TypeKey = tuple[int, ...]
+
+#: The dense backend runs only on kernels whose full int64 tensor has at most
+#: DENSE_CAP entries, at least 1/DENSE_SPARSITY of them nonzero (sparser
+#: kernels contract faster by the sparse walk).  DENSE_CAP also bounds every
+#: intermediate of a planned contraction.
+DENSE_CAP = 1 << 22
+DENSE_SPARSITY = 32
 
 
 @lru_cache(maxsize=None)
@@ -96,25 +102,18 @@ def incidence_type(p: Partition, k: int, d: int) -> TypeKey:
     return canonical_type(masks, k)
 
 
-def representative_blocks(tkey: TypeKey, k: int, d: int) -> list[tuple[int, ...]]:
-    """A concrete partition of ``[k*d]`` realizing an incidence type."""
-    slots = {u: list(range(u * d + 1, (u + 1) * d + 1)) for u in range(k)}
-    blocks = []
-    for mask in tkey:
-        copies = [u for u in range(k) if mask >> u & 1]
-        blocks.append(tuple(sorted(slots[u].pop(0) for u in copies)))
-    return blocks
+def _copy_blocks(tkey: TypeKey, k: int) -> list[list[int]]:
+    """For each of the ``k`` copies, the indices of the type's blocks that
+    touch it: its arguments, in any order, the kernel being symmetric."""
+    return [[b for b, mask in enumerate(tkey) if mask >> u & 1] for u in range(k)]
 
 
 def _einsum_subscripts(tkey: TypeKey, k: int, open_block: int | None) -> str:
     """``np.einsum`` subscripts contracting ``k`` kernel copies along an
     incidence type: one letter per block, each copy indexed by the letters of
-    the blocks that touch it (any order, the kernel being symmetric); the
-    open block's letter, if any, is the output."""
+    its blocks; the open block's letter, if any, is the output."""
     letters = string.ascii_letters
-    terms = (
-        "".join(letters[b] for b, mask in enumerate(tkey) if mask >> u & 1) for u in range(k)
-    )
+    terms = ("".join(letters[b] for b in blocks) for blocks in _copy_blocks(tkey, k))
     out = "" if open_block is None else letters[open_block]
     return ",".join(terms) + "->" + out
 
@@ -132,16 +131,52 @@ def _einsum_path(subscripts: str, n: int) -> tuple | None:
     return tuple(path)
 
 
+def _dense_numerators(kernel: Kernel) -> tuple[np.ndarray, int] | None:
+    """The integer numerators as a full ``n^d`` int64 tensor (symmetric
+    extension, zeros on diagonals) with their largest absolute value; None
+    for degree 1, a tensor above ``DENSE_CAP`` entries, a support filling
+    less than ``1/DENSE_SPARSITY`` of it, or numerators beyond int64."""
+    n, d = kernel.n, kernel.d
+    size = n**d
+    if d < 2 or not 0 < size <= DENSE_CAP:
+        return None
+    if DENSE_SPARSITY * math.factorial(d) * kernel.support_size < size:
+        return None
+    _, ints = kernel.int_entries()
+    top = max(abs(v) for v in ints.values())
+    if top >= 1 << 63:
+        return None
+    idx = np.array(list(ints), dtype=np.intp) - 1
+    vals = np.array(list(ints.values()), dtype=np.int64)
+    tensor = np.zeros((n,) * d, dtype=np.int64)
+    for perm in itertools.permutations(range(d)):
+        tensor[tuple(idx[:, list(perm)].T)] = vals
+    return tensor, top
+
+
+def dense_numerators(kernel: Kernel, k: int, indices: int) -> np.ndarray | None:
+    """The kernel's dense numerator tensor, when an int64 contraction of
+    ``k`` copies summed over ``indices`` index variables cannot overflow;
+    else None.  Every partial sum of every pairwise step of such a
+    contraction is at most ``max|num|^k * n^indices`` in absolute value."""
+    dense = kernel.derived(_dense_numerators)
+    if dense is None:
+        return None
+    tensor, top = dense
+    if top**k * kernel.n**indices >= 1 << 63:
+        return None
+    return tensor
+
+
 class KernelContractor:
-    """Contraction state for one kernel: pattern-indexed ordered support plus
-    a per-incidence-type memo, and the count of distinct types contracted by
-    each backend."""
+    """Contraction state for one kernel: the ordered support indexed by
+    prefix length, a per-incidence-type memo, and the count of distinct
+    types contracted by each backend."""
 
     def __init__(self, kernel: Kernel):
         self.kernel = kernel
         self.den, self.ints = kernel.int_entries()
-        self._ordered: dict[tuple[int, ...], int] | None = None
-        self._patterns: dict[tuple[int, ...], dict] = {}
+        self._patterns: dict[int, dict[tuple[int, ...], list]] = {}
         self._type_memo: dict[tuple[int, TypeKey, int | None], int | tuple[int, ...]] = {}
         self.backend_types: Counter[str] = Counter()
 
@@ -151,61 +186,40 @@ class KernelContractor:
         computed once per kernel no matter how many laws reuse them."""
         return kernel.derived(cls)
 
-    def _ordered_support(self) -> dict[tuple[int, ...], int]:
-        if self._ordered is None:
-            out: dict[tuple[int, ...], int] = {}
+    def _pattern_index(self, r: int) -> dict[tuple[int, ...], list]:
+        """Every ordering ``p`` of every support tuple, keyed by its first
+        ``r`` values: ``{p[:r]: [(p[r:], num), ...]}``."""
+        idx = self._patterns.get(r)
+        if idx is None:
+            idx = {}
             for t, v in self.ints.items():
                 for p in itertools.permutations(t):
-                    out[p] = v
-            self._ordered = out
-        return self._ordered
-
-    def _pattern_index(self, bound_pos: tuple[int, ...]):
-        """Index the ordered support by values at the given positions."""
-        idx = self._patterns.get(bound_pos)
-        if idx is None:
-            d = self.kernel.d
-            free_pos = tuple(p for p in range(d) if p not in bound_pos)
-            idx = {}
-            for tup, v in self._ordered_support().items():
-                bv = tuple(tup[p] for p in bound_pos)
-                fv = tuple(tup[p] for p in free_pos)
-                idx.setdefault(bv, []).append((fv, v))
-            self._patterns[bound_pos] = idx
+                    idx.setdefault(p[:r], []).append((p[r:], v))
+            self._patterns[r] = idx
         return idx
 
-    def _contract_blocks(
-        self, blocks: list[tuple[int, ...]], k: int, open_block: int | None = None
+    def _contract_sparse(
+        self, tkey: TypeKey, k: int, open_block: int | None = None
     ) -> int | tuple[int, ...]:
-        """Integer contraction of ``k`` kernel copies along explicit blocks
-        (sequential copy elimination with live-variable projection).  An open
-        block stays live past the last copy, and the final states, grouped
-        by its index, give one integer per index in ``[n]``."""
-        d = self.kernel.d
-        pos_block: dict[int, int] = {}
-        for bi, b in enumerate(blocks):
-            for x in b:
-                pos_block[x] = bi
-        factor_blocks = [
-            [pos_block[u * d + j + 1] for j in range(d)] for u in range(k)
-        ]
-        last_use = {}
-        for u in range(k):
-            for b in factor_blocks[u]:
-                last_use[b] = u
+        """The type's integer contraction by sequential copy elimination with
+        live-variable projection.  Each copy takes its live blocks' indices
+        from the state as a prefix and its new blocks' from the matching
+        suffixes.  An open block stays live past the last copy, and the
+        final states, grouped by its index, give one integer per index in
+        ``[n]``."""
+        copies = _copy_blocks(tkey, k)
+        last_use = {b: u for u, blocks in enumerate(copies) for b in blocks}
         if open_block is not None:
             last_use[open_block] = k
         states: dict[tuple[int, ...], int] = {(): 1}
         live: list[int] = []
-        for u in range(k):
-            fb = factor_blocks[u]
-            bound_pos = tuple(j for j, b in enumerate(fb) if b in live)
-            free_blocks = [fb[j] for j in range(d) if fb[j] not in live]
-            bound_sel = [live.index(fb[j]) for j in bound_pos]
-            idx = self._pattern_index(bound_pos)
+        for u, blocks in enumerate(copies):
+            bound_sel = [live.index(b) for b in blocks if b in live]
+            new = [b for b in blocks if b not in live]
+            idx = self._pattern_index(len(bound_sel))
             keep_old = [i for i, b in enumerate(live) if last_use[b] > u]
-            keep_free = [i for i, b in enumerate(free_blocks) if last_use[b] > u]
-            live = [live[i] for i in keep_old] + [free_blocks[i] for i in keep_free]
+            keep_new = [i for i, b in enumerate(new) if last_use[b] > u]
+            live = [live[i] for i in keep_old] + [new[i] for i in keep_new]
             new_states: dict[tuple[int, ...], int] = {}
             for st, coeff in states.items():
                 matches = idx.get(tuple(st[i] for i in bound_sel))
@@ -213,7 +227,7 @@ class KernelContractor:
                     continue
                 base = tuple(st[i] for i in keep_old)
                 for fv, v in matches:
-                    key = base + tuple(fv[i] for i in keep_free)
+                    key = base + tuple(fv[i] for i in keep_new)
                     c = coeff * v
                     if key in new_states:
                         new_states[key] += c
@@ -252,8 +266,7 @@ class KernelContractor:
         if val is None:
             val, backend = self._contract_dense(tkey, k, open_block), "dense"
             if val is None:
-                blocks = representative_blocks(tkey, k, self.kernel.d)
-                val, backend = self._contract_blocks(blocks, k, open_block), "sparse"
+                val, backend = self._contract_sparse(tkey, k, open_block), "sparse"
             self.backend_types[backend] += 1
             self._type_memo[memo_key] = val
         return val
@@ -398,10 +411,3 @@ def weighted_sum(
         by_sizes[sk] = by_sizes.get(sk, Fraction(0)) + contrib
     return total, by_sizes
 
-
-def cap_check(ground: int) -> None:
-    if ground > GROUND_CAP:
-        raise GroundCapExceeded(
-            f"moment computation needs partitions of [{ground}], beyond the cap "
-            f"{GROUND_CAP}"
-        )

@@ -20,7 +20,6 @@ from math import factorial
 from .contract import (
     KernelContractor,
     canonical_type,
-    cap_check,
     cumulant_weight,
     partition_class_size,
     weighted_sum,
@@ -28,7 +27,7 @@ from .contract import (
 from .errors import AssumptionViolation, HomsumError
 from .kernels import Kernel, contraction_square_sum
 from .laws import FreeLaw
-from .partitions import rho_partitions
+from .partitions import cap_check, rho_partitions
 from .reports import MomentReport
 
 

@@ -2,7 +2,9 @@
 slices, influences, the overlap contraction, and the named kernel families.
 
 The engines build no slice kernels (their slice sums are parent-kernel
-contractions); ``slice_kernel`` is a library helper.
+contractions); ``slice_kernel`` is a library helper.  The contraction
+backends, and the dense numerator tensor they cache through
+``Kernel.derived``, live in ``contract``.
 
 Storage convention: only strictly increasing index tuples are kept, with the
 full symmetric extension implied and every diagonal tuple structurally zero.
@@ -25,20 +27,12 @@ from fractions import Fraction
 from math import factorial, isqrt, lcm
 from typing import Iterable, Mapping
 
-import numpy as np
-
+from .contract import KernelContractor, canonical_type
 from .errors import HomsumError, KernelFormatError, NotNormalizable
 
 FLOAT_GAMMA_RTOL = 1e-9
 
 FAMILY_IDS = ("off-diagonal-pair", "product", "star", "free-clt")
-
-#: The dense contraction backend runs only on kernels whose full int64 tensor
-#: has at most DENSE_CAP entries, at least 1/DENSE_SPARSITY of them nonzero
-#: (sparser kernels contract faster by the dict walk).  DENSE_CAP also bounds
-#: every intermediate of a planned contraction.
-DENSE_CAP = 1 << 22
-DENSE_SPARSITY = 32
 
 
 def _sqrt_exact(q: Fraction) -> Fraction | None:
@@ -258,43 +252,6 @@ def _int_entries(kernel: Kernel) -> tuple[int, dict[tuple[int, ...], int]]:
     return den, {t: int(v * den) for t, v in kernel.entries.items()}
 
 
-def _dense_numerators(kernel: Kernel) -> tuple[np.ndarray, int] | None:
-    """The integer numerators as a full ``n^d`` int64 tensor (symmetric
-    extension, zeros on diagonals) with their largest absolute value; None
-    for degree 1, a tensor above ``DENSE_CAP`` entries, a support filling
-    less than ``1/DENSE_SPARSITY`` of it, or numerators beyond int64."""
-    n, d = kernel.n, kernel.d
-    size = n**d
-    if d < 2 or not 0 < size <= DENSE_CAP:
-        return None
-    if DENSE_SPARSITY * factorial(d) * kernel.support_size < size:
-        return None
-    _, ints = kernel.int_entries()
-    top = max(abs(v) for v in ints.values())
-    if top >= 1 << 63:
-        return None
-    idx = np.array(list(ints), dtype=np.intp) - 1
-    vals = np.array(list(ints.values()), dtype=np.int64)
-    tensor = np.zeros((n,) * d, dtype=np.int64)
-    for perm in itertools.permutations(range(d)):
-        tensor[tuple(idx[:, list(perm)].T)] = vals
-    return tensor, top
-
-
-def dense_numerators(kernel: Kernel, k: int, indices: int) -> np.ndarray | None:
-    """The kernel's dense numerator tensor, when an int64 contraction of
-    ``k`` copies summed over ``indices`` index variables cannot overflow;
-    else None.  Every partial sum of every pairwise step of such a
-    contraction is at most ``max|num|^k * n^indices`` in absolute value."""
-    dense = kernel.derived(_dense_numerators)
-    if dense is None:
-        return None
-    tensor, top = dense
-    if top**k * kernel.n**indices >= 1 << 63:
-        return None
-    return tensor
-
-
 @dataclass(frozen=True)
 class AdmissibilityReport:
     """Per-property verdicts: ``alpha`` (diagonal vanishing) and ``beta``
@@ -408,9 +365,6 @@ def contraction_square_sum(kernel: Kernel, s: int) -> Fraction:
     of the kernel with itself along ``s`` shared slots: the one type of four
     copies in which copies 1, 2 and copies 3, 4 share the ``s`` slots (masks
     3, 12) and copies 1, 3 and 2, 4 share the free tuples (masks 5, 10)."""
-    # contract imports this module, so this one is bound at call time
-    from .contract import KernelContractor, canonical_type
-
     d = kernel.d
     if s < 1 or s > d - 1:
         raise HomsumError(f"overlap size must satisfy 1 <= s <= d-1, got s={s}, d={d}")

@@ -21,6 +21,13 @@ from .errors import GroundCapExceeded, HomsumError
 GROUND_CAP = 24
 
 
+def cap_check(ground: int) -> None:
+    """The one ground-set check: partitions of ``[ground]`` beyond
+    ``GROUND_CAP`` raise ``GroundCapExceeded``."""
+    if ground > GROUND_CAP:
+        raise GroundCapExceeded(f"ground set [{ground}] exceeds the cap {GROUND_CAP}")
+
+
 class Partition:
     """A partition of ``[m]`` into disjoint non-empty blocks."""
 
@@ -256,8 +263,7 @@ def enumerate_partitions(
     """
     if m < 1:
         raise HomsumError(f"invalid ground size {m}")
-    if m > GROUND_CAP:
-        raise GroundCapExceeded(f"ground set [{m}] exceeds cap {GROUND_CAP}")
+    cap_check(m)
     interval_len = None
     if respect is not None:
         if respect.ground_size != m:
@@ -329,6 +335,5 @@ def rho_partitions(d: int) -> list[Partition]:
     """
     if d < 2:
         raise HomsumError("rho partitions need degree >= 2")
-    if 4 * d > GROUND_CAP:
-        raise GroundCapExceeded(f"ground set [{4 * d}] exceeds cap {GROUND_CAP}")
+    cap_check(4 * d)
     return list(_rho_cached(d))

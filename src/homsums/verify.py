@@ -99,20 +99,21 @@ def _double_factorial(m: int) -> int:
     return out
 
 
-def verify_partitions(max_ground: int = 10, rho_degrees=(2, 3)) -> VerificationReport:
-    """Counting identities and predicate cross-checks for the partition engine."""
+def verify_partitions() -> VerificationReport:
+    """Counting identities (ground sets up to 10) and predicate cross-checks
+    for the partition engine, with the rho decomposition at d = 2, 3."""
     report = VerificationReport("partitions")
     pairs = BlockProfile({2})
 
     counts = IdentityCheck("pairing count is (m-1)!! for even m, 0 for odd m")
-    for m in range(2, max_ground + 1):
+    for m in range(2, 11):
         got = len(enumerate_partitions(m, pairs))
         want = _double_factorial(m - 1) if m % 2 == 0 else 0
         counts.record(got == want, abs(got - want), {"m": m, "got": got, "want": want})
     report.checks.append(counts)
 
     catalan = IdentityCheck("non-crossing pairing count is Catalan C_{m/2}")
-    for m in range(2, max_ground + 1, 2):
+    for m in range(2, 11, 2):
         got = len(enumerate_partitions(m, pairs, noncrossing=True))
         k = m // 2
         want = comb(2 * k, k) // (k + 1)
@@ -134,7 +135,7 @@ def verify_partitions(max_ground: int = 10, rho_degrees=(2, 3)) -> VerificationR
     report.checks.append(filt)
 
     rho = IdentityCheck("rho partitions: unique completions, disjoint-union counts")
-    for d in rho_degrees:
+    for d in (2, 3):
         rhos = rho_partitions(d)  # self-asserts uniqueness and the decomposition
         pattern = IntervalPattern(d, 4)
         full = enumerate_partitions(4 * d, BlockProfile({2, 4}), pattern, noncrossing=True)
@@ -166,7 +167,6 @@ def verify_classical(
     n: int = 4,
     cases: int = 50,
     seed: int = 0,
-    m4_values=CLASSICAL_M4,
 ) -> VerificationReport:
     """Formula-vs-oracle agreement plus the classical property invariants on
     random exact-rational admissible kernels."""
@@ -177,7 +177,7 @@ def verify_classical(
     monotone = IdentityCheck("fourth moment monotone in the entry law when chi4 >= 0")
     scale_cov = IdentityCheck("scaling the kernel by c scales the fourth moment by c^4")
     relabel_inv = IdentityCheck("index relabeling leaves the fourth moment unchanged")
-    laws = [ClassicalLaw.from_fourth_moment(m4) for m4 in m4_values]
+    laws = [ClassicalLaw.from_fourth_moment(m4) for m4 in CLASSICAL_M4]
     for _ in range(cases):
         kernel = random_admissible_kernel(rng, d, n)
         gauss = gaussian_fourth_moment(kernel).value
@@ -213,7 +213,6 @@ def verify_free(
     n: int = 4,
     cases: int = 50,
     seed: int = 0,
-    kappa4_values=FREE_KAPPA4,
 ) -> VerificationReport:
     """Free formula-vs-oracle agreement, the contraction identity, and the
     free property invariants."""
@@ -223,7 +222,7 @@ def verify_free(
     contraction = IdentityCheck("contraction identity == pairing enumeration")
     positive = IdentityCheck("semicircular scaled fourth moment >= 2")
     monotone = IdentityCheck("free fourth moment monotone when kappa4 >= 0")
-    laws = [FreeLaw.from_fourth_moment(k4 + 2) for k4 in kappa4_values]
+    laws = [FreeLaw.from_fourth_moment(k4 + 2) for k4 in FREE_KAPPA4]
     dfact2 = factorial(d) ** 2
     for _ in range(cases):
         kernel = random_admissible_kernel(rng, d, n)

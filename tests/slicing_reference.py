@@ -19,7 +19,7 @@ from homsums import (
     random_admissible_kernel,
     slice_kernel,
 )
-from homsums.kernels import dense_numerators
+from homsums.contract import dense_numerators
 
 #: (star family size, sparse random (n, support size)) per degree: both fill
 #: less than 1/DENSE_SPARSITY of the n^d tensor, so they contract sparsely

@@ -245,6 +245,19 @@ def test_moments_rejects_classical_order_three(pair_file, capsys):
     assert code == 1 and "orders 2 and 4" in err
 
 
+def test_moments_free_order_three_beyond_the_ground_cap(tmp_path, capsys):
+    """Order 3 at degree 9 needs partitions of [27]: the oracle's own ground
+    cap check refuses it, and the exit code is 1."""
+    path = tmp_path / "product9.json"
+    family_kernel(KernelFamily("product", 9), 9).dump(str(path))
+    code, out, err = run(
+        ["moments", str(path), "--law", "free-rademacher", "--regime", "free", "--orders", "3"],
+        capsys,
+    )
+    assert code == 1 and out == ""
+    assert "ground set [27] exceeds the cap 24" in err
+
+
 def test_moments_rejects_malformed_kernel(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"n": 3, "d": 2, "mode": "exact",

@@ -29,12 +29,7 @@ from homsums import (
     random_admissible_kernel,
     slice_kernel,
 )
-from homsums.contract import (
-    KernelContractor,
-    grouped_types,
-    incidence_type,
-    representative_blocks,
-)
+from homsums.contract import KernelContractor, grouped_types, incidence_type
 
 
 def naive_partition_sum(kernel, p, k):
@@ -95,13 +90,31 @@ def test_pairing_class_empty_for_odd_ground():
 
 
 def test_partition_value_matches_naive_sum(rng):
+    """On a random, a ``star`` and a float-mode kernel of degree 2 and a
+    random one of degree 3, both backends equal the naive assignment sum
+    partition by partition: the default contractor (dense where the kernel
+    allows it) and one whose dense backend is off.  The sparse walk builds
+    at most d + 1 pattern indexes, one per live-block count."""
     k4 = 4
-    kernel = random_admissible_kernel(rng, 2, 3)
-    contractor = KernelContractor.of(kernel)
-    pattern = IntervalPattern(2, 4)
-    parts = enumerate_partitions(8, BlockProfile({2, 4}), respect=pattern)
-    for p in parts[::17]:  # a spread of shapes, crossing ones included
-        assert contractor.partition_value(p, k4) == naive_partition_sum(kernel, p, k4)
+    raw = {t: rng.uniform(-1, 1) for t in itertools.combinations(range(1, 4), 2)}
+    kernels = [
+        random_admissible_kernel(rng, 2, 3),
+        family_kernel(KernelFamily("star", 2), 4),
+        make_admissible(raw, 3, 2),
+        random_admissible_kernel(rng, 3, 4),
+    ]
+    for kernel in kernels:
+        d = kernel.d
+        default, sparse = KernelContractor(kernel), KernelContractor(kernel)
+        sparse._contract_dense = lambda *args: None
+        pattern = IntervalPattern(d, 4)
+        parts = enumerate_partitions(4 * d, BlockProfile({2, 4}), respect=pattern)
+        for p in parts[:: len(parts) // 6]:  # a spread of shapes, crossing ones included
+            want = naive_partition_sum(kernel, p, k4)
+            assert default.partition_value(p, k4) == want, (kernel, p)
+            assert sparse.partition_value(p, k4) == want, (kernel, p)
+        assert set(sparse.backend_types) == {"sparse"}
+        assert 0 < len(sparse._patterns) <= d + 1
 
 
 def test_degree_four_product_kernel_wick_value():
@@ -145,7 +158,7 @@ def test_dense_contraction_equals_sparse(d):
         for tkey, _, _ in grouped_types(d, frozenset(sizes), k, nc):
             dense = contractor._contract_dense(tkey, k)
             assert dense is not None
-            assert dense == contractor._contract_blocks(representative_blocks(tkey, k, d), k)
+            assert dense == contractor._contract_sparse(tkey, k)
             checked += 1
     assert checked >= 10
 

@@ -26,8 +26,7 @@ from homsums import (
     random_admissible_kernel,
     slice_kernel,
 )
-from homsums.contract import KernelContractor
-from homsums.kernels import dense_numerators
+from homsums.contract import KernelContractor, dense_numerators
 from slicing_reference import reference_kernels, square_sum_by_gram, square_sum_by_grouping
 
 
