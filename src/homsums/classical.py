@@ -24,13 +24,19 @@ from .contract import KernelContractor, grouped_types, partition_class_size, wei
 from .errors import AssumptionViolation, GroundCapExceeded
 from .kernels import Kernel
 from .laws import ClassicalLaw
-from .partitions import GROUND_CAP, cap_check
+from .partitions import cap_check
 from .reports import MomentReport
 
 #: The partition oracle counts the interval-respecting classes on [4d] by
 #: incidence type instead of listing them, and contracts every type; degrees
 #: above this are closed-form territory.
 ORACLE_MAX_DEGREE = 4
+
+
+def oracle_runs(d: int) -> bool:
+    """Whether the partition oracles run at degree ``d``; callers that report
+    an oracle beside a closed form ask this one rule."""
+    return d <= ORACLE_MAX_DEGREE
 
 
 def classical_second_moment(kernel: Kernel) -> Fraction:
@@ -43,13 +49,18 @@ def gaussian_fourth_moment(kernel: Kernel) -> MomentReport:
     the 4d index positions.  Exact for exact kernels; admissibility is not
     required."""
     cap_check(4 * kernel.d)
-    gaussian = {2: Fraction(1)}
-    value, _ = weighted_sum(KernelContractor.of(kernel), 4, gaussian, False)
     detail = {
-        "pairings": partition_class_size(kernel.d, gaussian, 4, False),
+        "pairings": partition_class_size(kernel.d, {2}, 4, False),
         "ground": 4 * kernel.d,
     }
-    return MomentReport(value=value, method="enumeration", detail=detail)
+    return MomentReport(value=kernel.derived(_wick_sum), method="enumeration", detail=detail)
+
+
+def _wick_sum(kernel: Kernel) -> Fraction:
+    """The law-independent Wick sum: every interval-respecting pairing of the
+    4d positions, each block weighted by the Gaussian cumulant 1."""
+    value, _ = weighted_sum(KernelContractor.of(kernel), 4, {2: Fraction(1)}, False)
+    return value
 
 
 def _slice_fourth_sums(kernel: Kernel) -> tuple[Fraction, ...]:
@@ -83,7 +94,8 @@ def classical_fourth_moment_formula(
             )
     d = kernel.d
     chi4 = law.chi(4)
-    base = gaussian_fourth_moment(kernel).value
+    cap_check(4 * d)
+    base = kernel.derived(_wick_sum)
     slice_sums = kernel.derived(_slice_fourth_sums)
     detail: dict = {"m=0": base}
     value = base
@@ -91,7 +103,7 @@ def classical_fourth_moment_formula(
         if not chi4:
             detail[f"m={m}"] = Fraction(0)
             continue
-        coeff = Fraction(comb(d, m)) ** 4 * Fraction(factorial(m)) ** 3 * chi4**m
+        coeff = comb(d, m) ** 4 * factorial(m) ** 3 * chi4**m
         term = coeff * slice_sums[m - 1]
         detail[f"m={m}"] = term
         value = value + term
@@ -107,7 +119,7 @@ def classical_fourth_moment_oracle(kernel: Kernel, law: ClassicalLaw) -> MomentR
     partitions are counted per incidence type, not listed, so each distinct
     contraction runs once."""
     d = kernel.d
-    if d > ORACLE_MAX_DEGREE:
+    if not oracle_runs(d):
         raise GroundCapExceeded(
             f"partition oracle supports degree <= {ORACLE_MAX_DEGREE}, got {d}"
         )
@@ -154,9 +166,9 @@ def mixture_identity_check(kernel: Kernel, law: ClassicalLaw, t_values: Sequence
 
     evaluated exactly on the reweighted kernel.  (Averaging the left side
     over the weights gives back ``E[Q^4] - 3``; the displayed form is the
-    pointwise identity under the average.)  Up to ``ORACLE_MAX_DEGREE``
-    it also cross-checks the closed-form fourth moment against the
-    partition oracle (``oracle_agrees`` is None above it).
+    pointwise identity under the average.)  Where ``oracle_runs`` it also
+    cross-checks the closed-form fourth moment against the partition oracle
+    (``oracle_agrees`` is None elsewhere).
     """
     resc = rescaled_kernel(kernel, t_values)
     b = classical_second_moment(resc)
@@ -164,7 +176,7 @@ def mixture_identity_check(kernel: Kernel, law: ClassicalLaw, t_values: Sequence
     lhs = a - 6 * b + 3
     rhs = (a - 3 * b * b) + 3 * (b - 1) ** 2
     oracle_agrees = None
-    if kernel.d <= ORACLE_MAX_DEGREE and 4 * kernel.d <= GROUND_CAP:
+    if oracle_runs(kernel.d):
         oracle_agrees = classical_fourth_moment_oracle(resc, law).value == a
     return {
         "second_moment": b,

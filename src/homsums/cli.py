@@ -19,10 +19,10 @@ import tempfile
 from fractions import Fraction
 
 from .classical import (
-    ORACLE_MAX_DEGREE,
     classical_fourth_moment_formula,
     classical_fourth_moment_oracle,
     classical_second_moment,
+    oracle_runs,
 )
 from .diagnostics import analyze_family, rows_to_csv, sweep_summary
 from .errors import HomsumError
@@ -35,7 +35,6 @@ from .free import (
 from .kernels import FAMILY_IDS, Kernel
 from .laws import ClassicalLaw, FreeLaw
 from .montecarlo import SamplerSpec, estimate_moment
-from .partitions import GROUND_CAP
 from .reports import MomentReport
 from .verify import run_verification
 
@@ -200,7 +199,7 @@ def cmd_analyze(args) -> int:
 
 
 def _moment_reports(kernel: Kernel, law, regime: str, order: int) -> list[MomentReport]:
-    oracle_ok = kernel.d <= ORACLE_MAX_DEGREE and 4 * kernel.d <= GROUND_CAP
+    oracle_ok = oracle_runs(kernel.d)
     if regime == "classical":
         if order == 2:
             return [

@@ -19,13 +19,16 @@ chosen from the kernel and the type alone.  Both read each copy's blocks
 straight from the type key (``_copy_blocks``), in any order, the kernel being
 symmetric:
 
-* dense: ``np.einsum`` over the full int64 numerator tensor, one index letter
-  per block, ordered pairwise by ``np.einsum_path``'s greedy planner.  It runs
-  when the degree is at least 2, the tensor has at most ``DENSE_CAP`` entries
-  and at least ``1/DENSE_SPARSITY`` of them are nonzero, ``max|num|^k *
-  n^blocks < 2^63`` (so no partial sum can overflow int64; float-mode
-  kernels, with denominators near 2^52, fail it), and the planner finds a
-  path of pairwise steps whose intermediates stay within ``DENSE_CAP``;
+* dense: the full int64 numerator tensor, one index letter per block,
+  contracted pairwise in the order of ``np.einsum_path``'s greedy planner.
+  The plan is compiled once per subscripts and ``n`` (``_pairwise_plan``):
+  each step transposes and reshapes its two operands to a batched
+  ``np.matmul``, so a call re-plans nothing.  It runs when the degree is at
+  least 2, the tensor has at most ``DENSE_CAP`` entries and at least
+  ``1/DENSE_SPARSITY`` of them are nonzero, ``max|num|^k * n^blocks < 2^63``
+  (so no partial sum can overflow int64, in any order; float-mode kernels,
+  with denominators near 2^52, fail it), and the planner finds a path of
+  pairwise steps whose intermediates stay within ``DENSE_CAP``;
 * sparse: otherwise, sequential copy elimination over the ordered support
   (Python ints, no bound).  Each copy lists its live blocks first, so the
   support needs one index per live-block count, at most ``d + 1``.
@@ -33,8 +36,14 @@ symmetric:
 Both give the same integer; the contractor counts the distinct types each
 backend contracted in ``backend_types``.
 
+Exact assembly runs once per block-size profile, not once per type and law:
+``profile_sum`` memoizes, per ``(k, sizes, noncrossing, profile)``, the
+rescaled ``sum of count * contraction`` over the class's types with that
+profile, and ``weighted_sum`` multiplies each nonzero-weight profile by its
+cumulant weight.  A zero-weight profile contracts no type.
+
 ``type_marginal`` leaves a type's one full block (all ``k`` copies) unsummed,
-one integer per index: the einsum output on the dense backend, a block live
+one integer per index: the plan's output on the dense backend, a block live
 past the last copy on the sparse one, with the same memo and dispatch.
 """
 
@@ -90,6 +99,7 @@ def canonical_type(masks: Sequence[int], k: int) -> TypeKey:
     return min(tuple(sorted(table[m] for m in masks)) for table in _mask_tables(k))
 
 
+@lru_cache(maxsize=None)
 def incidence_type(p: Partition, k: int, d: int) -> TypeKey:
     """Canonical incidence type of a partition of ``[k*d]``: the copy sets
     of its blocks as bitmasks, through ``canonical_type``."""
@@ -108,6 +118,7 @@ def _copy_blocks(tkey: TypeKey, k: int) -> list[list[int]]:
     return [[b for b, mask in enumerate(tkey) if mask >> u & 1] for u in range(k)]
 
 
+@lru_cache(maxsize=None)
 def _einsum_subscripts(tkey: TypeKey, k: int, open_block: int | None) -> str:
     """``np.einsum`` subscripts contracting ``k`` kernel copies along an
     incidence type: one letter per block, each copy indexed by the letters of
@@ -119,16 +130,44 @@ def _einsum_subscripts(tkey: TypeKey, k: int, open_block: int | None) -> str:
 
 
 @lru_cache(maxsize=None)
-def _einsum_path(subscripts: str, n: int) -> tuple | None:
+def _pairwise_plan(subscripts: str, n: int) -> tuple | None:
     """The greedy contraction order for copies of an ``n^d`` tensor, with
-    every intermediate within ``DENSE_CAP`` entries; None when the planner
-    cannot avoid a step over three or more operands at once (a naive loop)."""
-    inputs = subscripts.split("->")[0].split(",")
-    shapes = [np.broadcast_to(np.int64(0), (n,) * len(t)) for t in inputs]
+    every intermediate within ``DENSE_CAP`` entries, compiled once to
+    batched-matmul steps that run with no re-planning.  A step holds the two
+    operand positions it pops (highest first), each operand's axis order and
+    3-d shape for ``matmul`` (the first as batch, kept, summed letters; the
+    second as batch, summed, kept) and the result's shape (its letters: the
+    batch, then each side's kept).  None when the planner cannot avoid a step
+    over three or more operands at once (a naive loop), or a step would sum a
+    letter of one operand alone."""
+    inputs, out = subscripts.split("->")
+    operands = inputs.split(",")
+    shapes = [np.broadcast_to(np.int64(0), (n,) * len(t)) for t in operands]
     path, _ = np.einsum_path(subscripts, *shapes, optimize=("greedy", DENSE_CAP))
-    if any(len(step) > 2 for step in path[1:]):
-        return None
-    return tuple(path)
+    steps = []
+    for step in path[1:]:
+        if len(step) != 2:
+            return None
+        pops = tuple(sorted(step, reverse=True))
+        a, b = (operands.pop(i) for i in pops)
+        keep = set(out).union(*operands)
+        batch = [c for c in a if c in b and c in keep]
+        summed = [c for c in a if c in b and c not in keep]
+        left = [c for c in a if c not in b]
+        right = [c for c in b if c not in a]
+        if not keep.issuperset(left + right):
+            return None
+        result = "".join(batch + left + right)
+        operands.append(result)
+        steps.append((
+            pops,
+            tuple(a.index(c) for c in batch + left + summed),
+            (n ** len(batch), n ** len(left), n ** len(summed)),
+            tuple(b.index(c) for c in batch + summed + right),
+            (n ** len(batch), n ** len(summed), n ** len(right)),
+            (n,) * len(result),
+        ))
+    return tuple(steps)
 
 
 def _dense_numerators(kernel: Kernel) -> tuple[np.ndarray, int] | None:
@@ -178,6 +217,7 @@ class KernelContractor:
         self.den, self.ints = kernel.int_entries()
         self._patterns: dict[int, dict[tuple[int, ...], list]] = {}
         self._type_memo: dict[tuple[int, TypeKey, int | None], int | tuple[int, ...]] = {}
+        self._profile_memo: dict[tuple[int, frozenset[int], bool, tuple[int, ...]], Fraction] = {}
         self.backend_types: Counter[str] = Counter()
 
     @classmethod
@@ -246,16 +286,20 @@ class KernelContractor:
     def _contract_dense(
         self, tkey: TypeKey, k: int, open_block: int | None = None
     ) -> int | tuple[int, ...] | None:
-        """The type's integer contraction by ``np.einsum``, or None when the
+        """The type's integer contraction by its compiled pairwise plan, or None when the
         dense backend may not run it (see the module docstring)."""
         tensor = dense_numerators(self.kernel, k, len(tkey))
         if tensor is None:
             return None
-        subscripts = _einsum_subscripts(tkey, k, open_block)
-        path = _einsum_path(subscripts, self.kernel.n)
-        if path is None:
+        steps = _pairwise_plan(_einsum_subscripts(tkey, k, open_block), self.kernel.n)
+        if steps is None:
             return None
-        out = np.einsum(subscripts, *[tensor] * k, optimize=path)
+        operands = [tensor] * k
+        for pops, a_axes, a_shape, b_axes, b_shape, shape in steps:
+            a, b = (operands.pop(i) for i in pops)
+            ab = np.matmul(a.transpose(a_axes).reshape(a_shape), b.transpose(b_axes).reshape(b_shape))
+            operands.append(ab.reshape(shape))
+        (out,) = operands
         return int(out) if open_block is None else tuple(out.tolist())
 
     def _contract(self, tkey: TypeKey, k: int, open_block: int | None):
@@ -283,6 +327,21 @@ class KernelContractor:
         if len(full) != 1:
             raise HomsumError(f"type {tkey} needs exactly one full block, has {len(full)}")
         return self._contract(tkey, k, full[0])
+
+    def profile_sum(
+        self, k: int, sizes: frozenset[int], noncrossing: bool, profile: tuple[int, ...]
+    ) -> Fraction:
+        """Memoized exact sum of ``count * contraction`` over the types of the
+        class ``grouped_types(d, sizes, k, noncrossing)`` whose sorted block
+        sizes are ``profile``: the class's law-independent part for every
+        cumulant map with these keys."""
+        key = (k, sizes, noncrossing, profile)
+        val = self._profile_memo.get(key)
+        if val is None:
+            types = _profile_types(self.kernel.d, sizes, k, noncrossing)[profile]
+            total = sum(count * self.type_value(tkey, k) for tkey, count in types)
+            val = self._profile_memo[key] = self.from_int(total, k)
+        return val
 
     def partition_value(self, p: Partition, k: int) -> Fraction:
         """Exact assignment sum for one explicit partition of ``[k*d]``."""
@@ -386,6 +445,18 @@ def cumulant_weight(cumulants: Mapping[int, Number], sizes: Iterable[int]) -> Nu
     return w
 
 
+@lru_cache(maxsize=None)
+def _profile_types(
+    d: int, sizes: frozenset[int], k: int, noncrossing: bool
+) -> dict[tuple[int, ...], tuple[tuple[TypeKey, int], ...]]:
+    """The class's ``(incidence type, multiplicity)`` pairs grouped by block-size
+    profile, the profiles in order of first appearance in ``grouped_types``."""
+    groups: dict[tuple[int, ...], list[tuple[TypeKey, int]]] = {}
+    for tkey, sk, count in grouped_types(d, sizes, k, noncrossing):
+        groups.setdefault(sk, []).append((tkey, count))
+    return {sk: tuple(types) for sk, types in groups.items()}
+
+
 def weighted_sum(
     contractor: KernelContractor,
     k: int,
@@ -396,18 +467,14 @@ def weighted_sum(
     partitions whose block sizes are the keys of ``cumulants``.
 
     Returns the total plus the per-block-size-profile contributions (the
-    oracle's term breakdown).  Zero-weight profiles are skipped without
+    oracle's term breakdown).  Each profile's weight multiplies its memoized
+    ``profile_sum`` once; zero-weight profiles are skipped without
     contracting.
     """
-    d = contractor.kernel.d
-    total = Fraction(0)
+    sizes = frozenset(cumulants)
     by_sizes: dict[tuple[int, ...], Fraction] = {}
-    for tkey, sk, count in grouped_types(d, frozenset(cumulants), k, noncrossing):
+    for sk in _profile_types(contractor.kernel.d, sizes, k, noncrossing):
         w = cumulant_weight(cumulants, sk)
-        if not w:
-            continue
-        contrib = w * count * contractor.from_int(contractor.type_value(tkey, k), k)
-        total += contrib
-        by_sizes[sk] = by_sizes.get(sk, Fraction(0)) + contrib
-    return total, by_sizes
-
+        if w:
+            by_sizes[sk] = w * contractor.profile_sum(k, sizes, noncrossing, sk)
+    return sum(by_sizes.values(), Fraction(0)), by_sizes

@@ -11,6 +11,7 @@ cumulant alone, so each order solves for one unknown.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import comb
 from typing import Sequence
 
@@ -32,7 +33,17 @@ def _power_coefficient(moments: Sequence[Number], s: int, j: int) -> Number:
 
 
 def _transform(seq: Sequence[Number], noncrossing: bool, to_cumulants: bool) -> tuple[Number, ...]:
-    """Moments to cumulants (``to_cumulants``) or back, order by order."""
+    """Moments to cumulants (``to_cumulants``) or back, order by order;
+    memoized on the sequence with each term's type (``3 == 3.0 ==
+    Fraction(3)``, but a float sequence gives float cumulants)."""
+    return _typed_transform(tuple((type(x), x) for x in seq), noncrossing, to_cumulants)
+
+
+@lru_cache(maxsize=None)
+def _typed_transform(
+    typed: tuple[tuple[type, Number], ...], noncrossing: bool, to_cumulants: bool
+) -> tuple[Number, ...]:
+    seq = [x for _, x in typed]
     K = len(seq)
     if K < 1 or K > MAX_ORDER:
         what = "moment" if to_cumulants else "cumulant"

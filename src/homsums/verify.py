@@ -11,6 +11,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb, factorial
+from typing import Callable
 
 from .classical import (
     classical_fourth_moment_formula,
@@ -53,13 +54,17 @@ class IdentityCheck:
     def ok(self) -> bool:
         return self.failures == 0
 
-    def record(self, equal: bool, deviation: float = 0.0, case: dict | None = None) -> None:
+    def record(
+        self, equal: bool, deviation: float = 0.0, case: dict | Callable[[], dict] | None = None
+    ) -> None:
+        """Count one case.  ``case`` describes it for replay, or is a function
+        building that description, called only if this is the first failure."""
         self.cases += 1
         if not equal:
             self.failures += 1
             self.max_deviation = max(self.max_deviation, abs(deviation))
             if self.failing_case is None:
-                self.failing_case = case
+                self.failing_case = case() if callable(case) else case
 
     def to_json(self) -> dict:
         out = {
@@ -158,8 +163,9 @@ def _dev(a, b) -> float:
         return float("inf")
 
 
-def _case(kernel: Kernel, extra: dict) -> dict:
-    return {"kernel": kernel.to_json(), **extra}
+def _case(kernel: Kernel, extra: dict) -> Callable[[], dict]:
+    """The replay description of a case on ``kernel``, built on demand."""
+    return lambda: {"kernel": kernel.to_json(), **extra}
 
 
 def verify_classical(

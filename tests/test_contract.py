@@ -234,3 +234,82 @@ def test_type_marginal_is_equal_on_both_backends():
     assert sparse.backend_types == {"sparse": 4}
     with pytest.raises(HomsumError):
         dense.type_marginal((3, 12, 15, 15), 4)
+
+
+F = Fraction
+ASSEMBLY_CUMULANTS = {  # k -> cumulant maps, zeros included
+    3: [{2: F(1), 3: F(0)}, {2: F(1), 3: F(-1, 2)}, {2: F(0), 3: F(2)}],
+    4: [
+        {2: F(1)},
+        {2: F(1), 4: F(3, 2)},
+        {2: F(1), 4: F(0)},
+        {2: F(1), 3: F(0), 4: F(-2)},
+        {2: F(1), 3: F(1, 3), 4: F(0)},
+        {2: F(-1), 3: F(2), 4: F(5, 7)},
+    ],
+}
+
+
+def assembly_kernels(d):
+    rng = random.Random(10 + d)
+    raw = {t: rng.uniform(-1, 1) for t in itertools.combinations(range(1, d + 3), d)}
+    return [
+        random_admissible_kernel(rng, d, d + 2),
+        family_kernel(KernelFamily("star", d), 3),
+        make_admissible(raw, d + 2, d),
+    ]
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_profile_assembly_equals_per_type_reference(d):
+    """Per-profile assembly equals the per-type loop exactly, total and
+    breakdown, values and key order, on random, ``star`` and float-mode
+    kernels, for both classes at k = 3 and 4 and cumulant maps with zeros."""
+    from assembly_reference import weighted_sum_reference
+
+    from homsums.contract import weighted_sum
+
+    for kernel in assembly_kernels(d):
+        contractor = KernelContractor(kernel)
+        for (k, maps), nc in itertools.product(ASSEMBLY_CUMULANTS.items(), (False, True)):
+            for cumulants in maps:
+                want = weighted_sum_reference(contractor, k, cumulants, nc)
+                got = weighted_sum(contractor, k, cumulants, nc)
+                assert got[0] == want[0], (kernel, k, cumulants, nc)
+                assert list(got[1].items()) == list(want[1].items()), (kernel, k, cumulants, nc)
+
+
+def three_copy_types(kernel):
+    """Contracted types with a block shared by exactly three copies."""
+    memo = KernelContractor.of(kernel)._type_memo
+    return [tkey for _, tkey, _ in memo if any(m.bit_count() == 3 for m in tkey)]
+
+
+@pytest.mark.parametrize("d", [3, 4])
+def test_zero_weight_profiles_contract_nothing(d):
+    """Under a law with chi3 = 0 the oracle contracts no type with a 3-block,
+    although its class has such types."""
+    assert any(
+        3 in sk for _, sk, _ in grouped_types(d, frozenset({2, 3, 4}), 4, False)
+    )
+    kernel = random_admissible_kernel(random.Random(0), d, 7)
+    law = ClassicalLaw.from_fourth_moment(Fraction(9, 2))
+    assert law.chi(3) == 0
+    classical_fourth_moment_oracle(kernel, law)
+    assert KernelContractor.of(kernel)._type_memo
+    assert three_copy_types(kernel) == []
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_free_third_moment_contracts_no_zero_weight_type(d):
+    """The free third-moment oracle contracts no 3-block type: at even d its
+    class has none, at odd d only kappa3 weighs them, and it is 0 here."""
+    from homsums import free_third_moment_oracle
+
+    kernel = random_admissible_kernel(random.Random(0), d, 5)
+    law = FreeLaw.free_rademacher()
+    assert law.kappa(3) == 0
+    free_third_moment_oracle(kernel, law)
+    assert three_copy_types(kernel) == []
+    if d % 2:
+        assert any(3 in sk for _, sk, _ in grouped_types(d, frozenset({2, 3}), 3, True))
