@@ -24,12 +24,13 @@ from homsums import (
     family_kernel,
     free_fourth_moment,
     free_fourth_moment_oracle,
+    free_third_moment_oracle,
     gaussian_fourth_moment,
     make_admissible,
     random_admissible_kernel,
     slice_kernel,
 )
-from homsums.contract import KernelContractor, grouped_types, incidence_type
+from homsums.contract import KernelContractor, grouped_types, incidence_type, weighted_sum
 
 
 def naive_partition_sum(kernel, p, k):
@@ -267,8 +268,6 @@ def test_profile_assembly_equals_per_type_reference(d):
     kernels, for both classes at k = 3 and 4 and cumulant maps with zeros."""
     from assembly_reference import weighted_sum_reference
 
-    from homsums.contract import weighted_sum
-
     for kernel in assembly_kernels(d):
         contractor = KernelContractor(kernel)
         for (k, maps), nc in itertools.product(ASSEMBLY_CUMULANTS.items(), (False, True)):
@@ -304,8 +303,6 @@ def test_zero_weight_profiles_contract_nothing(d):
 def test_free_third_moment_contracts_no_zero_weight_type(d):
     """The free third-moment oracle contracts no 3-block type: at even d its
     class has none, at odd d only kappa3 weighs them, and it is 0 here."""
-    from homsums import free_third_moment_oracle
-
     kernel = random_admissible_kernel(random.Random(0), d, 5)
     law = FreeLaw.free_rademacher()
     assert law.kappa(3) == 0
