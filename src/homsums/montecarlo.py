@@ -1,16 +1,23 @@
 """Monte Carlo estimation of homogeneous-sum moments.
 
 Sampling uses numpy's Philox counter-based bit generator keyed by the
-sampler seed, with a fixed batch layout, so the sampled entries are
-reproducible bit-for-bit for a given sampler description regardless of
-platform; the sum runs on BLAS, so an estimate repeats bit-for-bit on one
-numpy build and may differ in its last bits on another.  The estimator is
-the plain empirical mean; the exact engines are the primary truth and this
-module is an independent cross-check.
+sampler seed.  The stream depends on the sampler description and ``n``
+alone, not on the kernel or the row chunking: per batch of ``_BATCH`` rows
+it draws one bit per weight factor in (row, index, factor) order, then one
+sign bit per entry, then one normal per entry under a Gaussian law or base,
+each in (row, index) order (a law draws only the parts it has).  An entry's
+bits form one code, read from a table made by the law's formula, so entries
+equal the formulas bit for bit on any platform.  The sum runs on BLAS, so
+an estimate repeats bit-for-bit on one numpy build and may differ in its
+last bits on another.  The estimator is the plain empirical mean; the exact
+engines are the primary truth and this module is an independent check.
 
 The sum is evaluated on a batch by nesting it over prefixes of the sorted
 support (``_horner_plan``): one matmul for the last index, then per earlier
 index a product with the entries and a sum over each prefix's children.
+A row chunk's entries are made, and its normals drawn, just before the sum
+reads them (numpy keeps no normals between calls: one draw per batch
+gives the same values).
 """
 
 from __future__ import annotations
@@ -18,6 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 
@@ -57,8 +65,8 @@ class SamplerSpec:
         if self.law in ("two-point", "mixture-T", "product-TX"):
             if not 0 <= self.alpha < 1:
                 raise HomsumError(f"alpha must lie in [0, 1), got {self.alpha}")
-            if self.q < 1:
-                raise HomsumError(f"q must be >= 1, got {self.q}")
+            if not 1 <= self.q <= 15:  # a code of q + 1 bits indexes a table
+                raise HomsumError(f"q must lie in 1..15, got {self.q}")
         if self.law == "product-TX" and self.base not in BASE_IDS:
             raise UnknownSampler(f"unknown base law {self.base!r}; known: {', '.join(BASE_IDS)}")
 
@@ -83,33 +91,61 @@ def _generator(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=seed))
 
 
-def _signs(rng: np.random.Generator, shape) -> np.ndarray:
-    return np.array([-1.0, 1.0]).take(rng.integers(0, 2, size=shape))
+def _layout(spec: SamplerSpec) -> tuple[int, int, bool]:
+    """An entry's code: ``q`` weight bits and ``signed`` sign bits; and
+    whether a normal multiplies the coded value."""
+    q = spec.q if spec.law in ("mixture-T", "product-TX") else 0
+    base = spec.base if spec.law == "product-TX" else spec.law
+    return q, int(base in ("rademacher", "two-point")), base == "gaussian"
 
 
-def _mixture_t(rng: np.random.Generator, shape, alpha: float, q: int) -> np.ndarray:
-    """``sqrt(V_1 ... V_q)`` with ``V_j = 1 + alpha * sign``, the factors
-    looked up and multiplied left to right over ``j``."""
-    v = np.array([1.0 + alpha * -1.0, 1.0 + alpha * 1.0]).take(rng.integers(0, 2, size=shape + (q,)))
-    t = v[..., 0]
-    for j in range(1, q):
-        t = t * v[..., j]
-    return np.sqrt(t)
+def _table(spec: SamplerSpec) -> np.ndarray:
+    """The value of every code, by each law's formula on the code's bits
+    (bit ``j < q`` is weight factor ``j``, bit ``q`` the sign), so that a
+    lookup equals the formula bit for bit."""
+    q, signed, _ = _layout(spec)
+    s = (np.arange(1 << (q + signed))[:, None] >> np.arange(q + signed) & 1) * 2.0 - 1.0
+    if spec.law == "two-point":
+        return 1.0 + spec.alpha * s[:, 0]
+    t = np.sqrt(np.prod(1.0 + spec.alpha * s[:, :q], axis=1))
+    return t * s[:, q] if signed else t
+
+
+def _codes(rng: np.random.Generator, spec: SamplerSpec, shape) -> np.ndarray | None:
+    """One bit per two-valued factor: ``shape + (q,)`` weight bits, then
+    ``shape`` sign bits, packed into one code per entry; ``None`` when the
+    law has no two-valued factor."""
+    q, signed, _ = _layout(spec)
+    if not q + signed:
+        return None
+    code = np.zeros(shape, np.min_scalar_type((1 << (q + signed)) - 1))
+    if q:
+        bits = rng.integers(0, 2, size=shape + (q,), dtype=np.bool_)
+        for j in reversed(range(q)):
+            code <<= 1
+            code |= bits[..., j]
+        del bits
+    if signed:
+        sign = rng.integers(0, 2, size=shape, dtype=np.bool_).astype(code.dtype)
+        sign <<= q
+        code |= sign
+    return code
+
+
+def _chunk(rng: np.random.Generator, spec: SamplerSpec, table, code, lo: int, hi: int, tail=()) -> np.ndarray:
+    """Rows ``lo:hi`` of a batch's entries, index first: the codes looked
+    up, times normals of shape ``(hi - lo,) + tail`` drawn now under a
+    Gaussian law or base."""
+    x = None if code is None else table.take(code[lo:hi].T)
+    if not _layout(spec)[2]:
+        return x
+    g = rng.standard_normal((hi - lo,) + tail).T
+    return np.ascontiguousarray(g) if x is None else np.multiply(x, g, out=x)
 
 
 def _entries(rng: np.random.Generator, spec: SamplerSpec, shape) -> np.ndarray:
-    if spec.law == "rademacher":
-        return _signs(rng, shape)
-    if spec.law == "gaussian":
-        return rng.standard_normal(shape)
-    if spec.law == "two-point":
-        return 1.0 + spec.alpha * _signs(rng, shape)
-    if spec.law == "mixture-T":
-        return _mixture_t(rng, shape, spec.alpha, spec.q)
-    # product-TX: independent weight and centered base per entry
-    t = _mixture_t(rng, shape, spec.alpha, spec.q)
-    x = rng.standard_normal(shape) if spec.base == "gaussian" else _signs(rng, shape)
-    return t * x
+    """One batch of entries of ``shape``: its codes, then its normals."""
+    return _chunk(rng, spec, _table(spec), _codes(rng, spec, shape), 0, shape[0], shape[1:]).T
 
 
 def sample_mixture_t(spec: SamplerSpec) -> np.ndarray:
@@ -117,8 +153,7 @@ def sample_mixture_t(spec: SamplerSpec) -> np.ndarray:
     at least ``(1 - alpha)^(q/2) > 0``."""
     if spec.law != "mixture-T":
         raise UnknownSampler(f"sample_mixture_t needs a mixture-T spec, got {spec.law!r}")
-    rng = _generator(spec.seed)
-    return _mixture_t(rng, (spec.sample_count,), spec.alpha, spec.q)
+    return _entries(_generator(spec.seed), spec, (spec.sample_count,))
 
 
 def mixture_t_moment(q: int, alpha, order: int) -> Fraction:
@@ -184,16 +219,17 @@ def _horner_plan(kernel: Kernel) -> tuple[np.ndarray, list]:
     return weights, levels
 
 
-def _homogeneous_sum(kernel: Kernel, x: np.ndarray) -> np.ndarray:
-    """``Q(f; x)`` for every row of ``x``: one matmul for the last index,
-    then per prefix level a gather, a product and a sum over each run.
-    Rows go in chunks so that no intermediate holds more than
-    ``_GATHER_BUDGET`` values."""
+def _homogeneous_sum(kernel: Kernel, count: int, chunk) -> np.ndarray:
+    """``Q(f; x)`` for rows ``0:count`` of ``x``, where ``chunk(lo, hi)``
+    returns rows ``lo:hi`` transposed (``n x (hi - lo)``): one matmul for
+    the last index, then per prefix level a gather, a product and a sum
+    over each run.  Rows go in chunks so that no intermediate holds more
+    than ``_GATHER_BUDGET`` values."""
     weights, levels = kernel.derived(_horner_plan)
     step = max(1, _GATHER_BUDGET // max(len(weights), kernel.n))
-    q = np.empty(len(x))
-    for lo in range(0, len(x), step):
-        xt = np.ascontiguousarray(x[lo : lo + step].T)
+    q = np.empty(count)
+    for lo in range(0, count, step):
+        xt = chunk(lo, min(lo + step, count))
         s = weights @ xt
         for last, starts, runs in levels:
             s *= xt[last]
@@ -210,14 +246,16 @@ def estimate_moment(kernel: Kernel, spec: SamplerSpec, order: int) -> Estimate:
     if order not in (2, 3, 4):
         raise HomsumError(f"estimated orders are 2, 3, 4; got {order}")
     rng = _generator(spec.seed)
-    chunks = []
-    remaining = spec.sample_count
-    while remaining > 0:
-        batch = min(_BATCH, remaining)
-        x = _entries(rng, spec, (batch, kernel.n))
-        chunks.append(_homogeneous_sum(kernel, x) ** order)
-        remaining -= batch
-    vals = np.concatenate(chunks)
+    table = _table(spec)
+    vals = np.empty(spec.sample_count)
+    for start in range(0, spec.sample_count, _BATCH):
+        batch = min(_BATCH, spec.sample_count - start)
+        code = _codes(rng, spec, (batch, kernel.n))
+        q = _homogeneous_sum(kernel, batch, partial(_chunk, rng, spec, table, code, tail=(kernel.n,)))
+        v = vals[start : start + batch]
+        np.multiply(q, q, out=v)
+        if order > 2:
+            v *= v if order == 4 else q
     mean = float(vals.mean())
     stderr = float(vals.std(ddof=1) / math.sqrt(spec.sample_count)) if spec.sample_count > 1 else 0.0
     return Estimate(mean=mean, stderr=stderr, sample_count=spec.sample_count, seed=spec.seed)

@@ -1,7 +1,7 @@
 """References for the Monte Carlo path: the homogeneous sum by a gather of
 every support tuple's entries, and the entry laws by their arithmetic
-formulas.  Neither shares code with ``montecarlo``'s nested prefix
-evaluation or its table lookups."""
+formulas on one drawn bit per two-valued factor.  Neither shares code with
+``montecarlo``'s nested prefix evaluation or its table lookups."""
 
 import math
 
@@ -31,7 +31,7 @@ def gather_sum(kernel: Kernel, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _signs(rng: np.random.Generator, shape) -> np.ndarray:
-    return rng.integers(0, 2, size=shape).astype(np.float64) * 2.0 - 1.0
+    return rng.integers(0, 2, size=shape, dtype=np.bool_).astype(np.float64) * 2.0 - 1.0
 
 
 def _mixture_t(rng: np.random.Generator, shape, alpha: float, q: int) -> np.ndarray:

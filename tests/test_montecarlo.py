@@ -42,6 +42,8 @@ def test_spec_validation():
         SamplerSpec(law="two-point", seed=1, sample_count=10, alpha=1.0)
     with pytest.raises(HomsumError):
         SamplerSpec(law="mixture-T", seed=1, sample_count=10, q=0)
+    with pytest.raises(HomsumError):  # codes hold at most 16 bits
+        SamplerSpec(law="product-TX", seed=1, sample_count=10, q=16)
     with pytest.raises(UnknownSampler):
         SamplerSpec(law="product-TX", seed=1, sample_count=10, base="poisson")
 
@@ -149,19 +151,21 @@ def test_estimate_json_fields():
 
 
 def test_estimate_moment_memory_is_bounded():
-    """Q is evaluated in row chunks: on the pair kernel at
-    n = 32 one 65,536-row batch allocates under 128 MiB (a single gather of
-    65,536 x 496 x 2 float64s would take 496 MiB; the process peaked near
-    795 MB before the gather was chunked)."""
-    kernel = family_kernel(KernelFamily("off-diagonal-pair", 2), 32)
-    spec = SamplerSpec(law="rademacher", seed=1, sample_count=65_536)
-    tracemalloc.start()
-    try:
-        estimate_moment(kernel, spec, 4)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 128 * 2**20
+    """Entries are made per row chunk from one byte per entry and factor:
+    on the pair kernel one 65,536-row batch stays under 16 MiB at n = 32
+    and under 32 MiB at n = 96 (a whole batch of float64 entries, made
+    before the sum, peaked at 32 / 18 / 64 MiB and 96 / 50 / 192 MiB)."""
+    for n, bound_mib in ((32, 16), (96, 32)):
+        kernel = family_kernel(KernelFamily("off-diagonal-pair", 2), n)
+        for fields in ({"law": "rademacher"}, {"law": "gaussian"}, {"law": "product-TX", "q": 2}):
+            estimate_moment(kernel, SamplerSpec(seed=1, sample_count=1, **fields), 4)  # builds the plan
+            tracemalloc.start()
+            try:
+                estimate_moment(kernel, SamplerSpec(seed=1, sample_count=65_536, **fields), 4)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < bound_mib * 2**20, (n, fields)
 
 
 def test_row_chunking_moves_only_the_last_bits(monkeypatch):
@@ -196,7 +200,7 @@ def test_nested_sum_matches_gather_reference(d, budget, monkeypatch):
     monkeypatch.setattr(montecarlo, "_GATHER_BUDGET", budget)
     for name, kernel in nested_sum_kernels(d).items():
         x = np.random.default_rng(d).standard_normal((300, kernel.n))
-        q = montecarlo._homogeneous_sum(kernel, x)
+        q = montecarlo._homogeneous_sum(kernel, len(x), lambda lo, hi: x[lo:hi].T)
         ref, scale = gather_sum(kernel, x)
         assert np.all(np.abs(q - ref) <= 1e-12 * scale), name
 
@@ -209,3 +213,66 @@ def test_entries_equal_the_formulas_bit_for_bit(law, base, q):
         spec = SamplerSpec(law=law, seed=q, sample_count=1, alpha=alpha, q=q, base=base)
         drawn = montecarlo._entries(montecarlo._generator(q), spec, (257, 5))
         assert np.array_equal(drawn, formula_entries(montecarlo._generator(q), spec, (257, 5)))
+
+
+def drawn_entries(monkeypatch, kernel, spec):
+    """The entries ``estimate_moment`` feeds the sum, row by row."""
+    chunks = []
+    real = montecarlo._homogeneous_sum
+
+    def spy(kernel, count, chunk):
+        return real(kernel, count, lambda lo, hi: chunks.append(chunk(lo, hi)) or chunks[-1])
+
+    monkeypatch.setattr(montecarlo, "_homogeneous_sum", spy)
+    est = estimate_moment(kernel, spec, 4)
+    monkeypatch.setattr(montecarlo, "_homogeneous_sum", real)
+    return np.concatenate([c.T for c in chunks]), est
+
+
+SPECS = [{"law": law} for law in ("rademacher", "gaussian", "two-point")] + [
+    {"law": "mixture-T", "q": 3},
+    {"law": "product-TX", "q": 2, "base": "gaussian"},
+    {"law": "product-TX", "q": 2, "base": "rademacher"},
+]
+
+
+@pytest.mark.parametrize("fields", SPECS, ids=lambda f: "-".join(map(str, f.values())))
+def test_stream_depends_on_neither_kernel_nor_chunking(fields, monkeypatch):
+    """The entries are the same whatever ``_GATHER_BUDGET`` and for two
+    kernels with the same n; the estimates move only in their last bits
+    (one row per chunk runs a matrix-vector product, not a matmul)."""
+    spec = SamplerSpec(seed=7, sample_count=3000, alpha=0.3, **fields)
+    pair = family_kernel(KernelFamily("off-diagonal-pair", 2), 12)
+    runs = []
+    for budget in (1, 12 * 512, montecarlo._GATHER_BUDGET):
+        monkeypatch.setattr(montecarlo, "_GATHER_BUDGET", budget)
+        runs.append(drawn_entries(monkeypatch, pair, spec))
+    for x, est in runs[:2]:
+        assert np.array_equal(x, runs[2][0])
+        assert est.mean == pytest.approx(runs[2][1].mean, rel=1e-12)
+        assert est.stderr == pytest.approx(runs[2][1].stderr, rel=1e-12)
+    star = family_kernel(KernelFamily("star", 2), 12)
+    assert np.array_equal(drawn_entries(monkeypatch, star, spec)[0], runs[2][0])
+
+
+def test_gaussian_stream_is_one_normal_draw(monkeypatch):
+    """Across batches and chunks, Gaussian entries are one draw of the
+    whole sample from Philox keyed by the seed, bit for bit."""
+    count, n = montecarlo._BATCH + 1000, 4
+    kernel = family_kernel(KernelFamily("off-diagonal-pair", 2), n)
+    x, _ = drawn_entries(monkeypatch, kernel, SamplerSpec(law="gaussian", seed=9, sample_count=count))
+    assert np.array_equal(x, np.random.Generator(np.random.Philox(key=9)).standard_normal((count, n)))
+
+
+# chi-square 0.999 quantiles for 2^(q+1) - 1 degrees of freedom
+CHI2_999 = {1: 16.266, 2: 24.322, 3: 37.697, 4: 61.098}
+
+
+@pytest.mark.parametrize("q", [1, 2, 3, 4])
+def test_product_tx_codes_are_uniform(q):
+    spec = SamplerSpec(law="product-TX", seed=40 + q, sample_count=1, q=q, base="rademacher")
+    code = montecarlo._codes(montecarlo._generator(spec.seed), spec, (4096, 16))
+    counts = np.bincount(code.ravel(), minlength=2 ** (q + 1))
+    assert len(counts) == 2 ** (q + 1)
+    expected = code.size / len(counts)
+    assert ((counts - expected) ** 2 / expected).sum() < CHI2_999[q]
