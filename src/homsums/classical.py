@@ -17,7 +17,7 @@ Chaos: Moments, Cumulants and Diagrams*, 2011); no slice kernel is built.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, lcm, prod
 from typing import Sequence
 
 from .contract import KernelContractor, grouped_types, partition_class_size, weighted_sum
@@ -148,13 +148,12 @@ def rescaled_kernel(kernel: Kernel, t_values: Sequence) -> Kernel:
         )
     if any(x <= 0 for x in t):
         raise AssumptionViolation("mixture weights must be positive")
-    entries = {}
-    for tup, v in kernel.entries.items():
-        w = v
-        for i in tup:
-            w *= t[i - 1]
-        entries[tup] = w
-    return Kernel(kernel.n, kernel.d, entries, kernel.scale2, kernel.mode)
+    # t_i = a_i / b_i over the common denominator L: t_i = (a_i L / b_i) / L
+    common = lcm(*(x.denominator for x in t))
+    scaled = [x.numerator * (common // x.denominator) for x in t]
+    nums = {tup: v * prod(scaled[i - 1] for i in tup) for tup, v in kernel.nums.items()}
+    den = kernel.den * common**kernel.d
+    return Kernel._derive(kernel.n, kernel.d, den, nums, kernel.scale2, kernel.mode)
 
 
 def mixture_identity_check(kernel: Kernel, law: ClassicalLaw, t_values: Sequence) -> dict:

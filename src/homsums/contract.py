@@ -10,37 +10,48 @@ per block.
 Because the kernel is symmetric, the value of that sum depends only on which
 copies each block touches, so partitions are grouped by that incidence type
 (canonicalized under copy relabeling) and each distinct type is contracted
-once.  Contractions run over the integer numerators of the kernel on a common
-denominator, with the denominator and the kernel's squared scale factored
-back in at the end, so results are exact rationals.
+once.  Contractions run over the kernel's stored integer numerators on
+their common denominator, with the denominator and the kernel's squared
+scale factored back in at the end (one factor per kernel and ``k``), so
+results are exact rationals.
 
-``KernelContractor.type_value`` contracts a type by one of two backends,
-chosen from the kernel and the type alone.  Both read each copy's blocks
+``KernelContractor.type_value`` contracts a type by one of three tiers,
+chosen from the kernel and the type alone.  All read each copy's blocks
 straight from the type key (``_copy_blocks``), in any order, the kernel being
-symmetric:
+symmetric.  The two dense tiers contract the full numerator tensor, one index
+letter per block, pairwise in the order of ``np.einsum_path``'s greedy
+planner.  The plan is compiled once per subscripts and ``n``
+(``_pairwise_plan``): each step transposes and reshapes its two operands to a
+batched ``np.matmul``, so a call re-plans nothing.  A dense tier needs degree
+at least 2, a tensor of at most ``DENSE_CAP`` entries with at least
+``1/DENSE_SPARSITY`` of them nonzero, and a planned path of pairwise steps
+whose intermediates stay within ``DENSE_CAP``.  Every product and every
+partial sum of every step, in any order, is at most
+``bound = max|num|^k * n^blocks`` in absolute value, so the tier is:
 
-* dense: the full int64 numerator tensor, one index letter per block,
-  contracted pairwise in the order of ``np.einsum_path``'s greedy planner.
-  The plan is compiled once per subscripts and ``n`` (``_pairwise_plan``):
-  each step transposes and reshapes its two operands to a batched
-  ``np.matmul``, so a call re-plans nothing.  It runs when the degree is at
-  least 2, the tensor has at most ``DENSE_CAP`` entries and at least
-  ``1/DENSE_SPARSITY`` of them are nonzero, ``max|num|^k * n^blocks < 2^63``
-  (so no partial sum can overflow int64, in any order; float-mode kernels,
-  with denominators near 2^52, fail it), and the planner finds a path of
-  pairwise steps whose intermediates stay within ``DENSE_CAP``;
-* sparse: otherwise, sequential copy elimination over the ordered support
-  (Python ints, no bound).  Each copy lists its live blocks first, so the
-  support needs one index per live-block count, at most ``d + 1``.
+* float64, when ``bound < 2^53``: the tensor in float64, each step a BLAS
+  ``dgemm``.  Every value along the way is an integer below 2^53, which
+  float64 holds exactly, so no step rounds, whatever the BLAS blocking, FMA
+  use or thread count (the premise of error-free matrix products; Ozaki,
+  Ogita, Oishi and Rump, *Numer. Algorithms* 59, 2012);
+* int64, when ``2^53 <= bound < 2^63``: the same plan on the int64 tensor,
+  which cannot overflow (numpy runs it without BLAS);
+* sparse: otherwise (float-mode kernels, with denominators near 2^52, land
+  here), sequential copy elimination over the ordered support (Python ints,
+  no bound).  Each copy lists its live blocks first, so the support needs
+  one index per live-block count, at most ``d + 1``.
 
-Both give the same integer; the contractor counts the distinct types each
-backend contracted in ``backend_types``.
+All three give the same integer, and a dense result converts back to an
+exact int; the contractor counts the distinct types each tier contracted in
+``backend_types``.  Each dense tensor is built once per kernel through
+``Kernel.derived``, the first time a type needs its tier.
 
 Exact assembly runs once per block-size profile, not once per type and law:
 ``profile_sum`` memoizes, per ``(k, sizes, noncrossing, profile)``, the
 rescaled ``sum of count * contraction`` over the class's types with that
 profile, and ``weighted_sum`` multiplies each nonzero-weight profile by its
-cumulant weight.  A zero-weight profile contracts no type.
+cumulant weight, computed once per cumulant map and class
+(``_profile_weights``).  A zero-weight profile contracts no type.
 
 ``type_marginal`` leaves a type's one full block (all ``k`` copies) unsummed,
 one integer per index: the plan's output on the dense backend, a block live
@@ -54,7 +65,7 @@ import math
 import string
 from collections import Counter
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -68,7 +79,7 @@ if TYPE_CHECKING:
 
 TypeKey = tuple[int, ...]
 
-#: The dense backend runs only on kernels whose full int64 tensor has at most
+#: The dense tiers run only on kernels whose full tensor has at most
 #: DENSE_CAP entries, at least 1/DENSE_SPARSITY of them nonzero (sparser
 #: kernels contract faster by the sparse walk).  DENSE_CAP also bounds every
 #: intermediate of a planned contraction.
@@ -170,51 +181,86 @@ def _pairwise_plan(subscripts: str, n: int) -> tuple | None:
     return tuple(steps)
 
 
-def _dense_numerators(kernel: Kernel) -> tuple[np.ndarray, int] | None:
-    """The integer numerators as a full ``n^d`` int64 tensor (symmetric
-    extension, zeros on diagonals) with their largest absolute value; None
-    for degree 1, a tensor above ``DENSE_CAP`` entries, a support filling
-    less than ``1/DENSE_SPARSITY`` of it, or numerators beyond int64."""
+def _dense_top(kernel: Kernel) -> int | None:
+    """The largest absolute numerator of a kernel the dense tiers may run
+    on; None for degree 1, a tensor above ``DENSE_CAP`` entries, or a
+    support filling less than ``1/DENSE_SPARSITY`` of it."""
     n, d = kernel.n, kernel.d
     size = n**d
     if d < 2 or not 0 < size <= DENSE_CAP:
         return None
     if DENSE_SPARSITY * math.factorial(d) * kernel.support_size < size:
         return None
-    _, ints = kernel.int_entries()
-    top = max(abs(v) for v in ints.values())
-    if top >= 1 << 63:
-        return None
-    idx = np.array(list(ints), dtype=np.intp) - 1
-    vals = np.array(list(ints.values()), dtype=np.int64)
-    tensor = np.zeros((n,) * d, dtype=np.int64)
+    _, nums = kernel.int_entries()
+    return max(map(abs, nums.values()))
+
+
+def _dense_tensor(kernel: Kernel, dtype) -> np.ndarray:
+    """The integer numerators as a full ``n^d`` tensor of ``dtype``
+    (symmetric extension, zeros on diagonals)."""
+    n, d = kernel.n, kernel.d
+    _, nums = kernel.int_entries()
+    idx = np.fromiter(itertools.chain.from_iterable(nums), np.intp, len(nums) * d)
+    idx = idx.reshape(-1, d) - 1
+    vals = np.fromiter(nums.values(), dtype, len(nums))
+    tensor = np.zeros((n,) * d, dtype)
     for perm in itertools.permutations(range(d)):
         tensor[tuple(idx[:, list(perm)].T)] = vals
-    return tensor, top
+    return tensor
+
+
+#: Each dense tier's tensor builder, also the key under which
+#: ``Kernel.derived`` keeps that tensor.
+TIER_TENSORS = {tier: partial(_dense_tensor, dtype=np.dtype(tier)) for tier in ("float64", "int64")}
+
+
+def dense_tier(kernel: Kernel, k: int, indices: int) -> str | None:
+    """The dense tier that contracts ``k`` copies of the kernel summed over
+    ``indices`` index variables exactly: ``"float64"`` when every partial
+    sum of every pairwise step, at most ``max|num|^k * n^indices`` in
+    absolute value, stays below 2^53, ``"int64"`` below 2^63; else None."""
+    top = kernel.derived(_dense_top)
+    if top is None:
+        return None
+    bound = top**k * kernel.n**indices
+    if bound < 1 << 53:
+        return "float64"
+    return "int64" if bound < 1 << 63 else None
 
 
 def dense_numerators(kernel: Kernel, k: int, indices: int) -> np.ndarray | None:
-    """The kernel's dense numerator tensor, when an int64 contraction of
-    ``k`` copies summed over ``indices`` index variables cannot overflow;
-    else None.  Every partial sum of every pairwise step of such a
-    contraction is at most ``max|num|^k * n^indices`` in absolute value."""
-    dense = kernel.derived(_dense_numerators)
-    if dense is None:
+    """The kernel's numerator tensor in the dtype of its ``dense_tier``, built
+    once per kernel and tier; None when no dense tier is exact."""
+    tier = dense_tier(kernel, k, indices)
+    return None if tier is None else kernel.derived(TIER_TENSORS[tier])
+
+
+def run_plan(tensor: np.ndarray, tkey: TypeKey, k: int, open_block: int | None = None):
+    """A type's contraction by its compiled pairwise plan on ``tensor`` (of
+    either dense dtype), as an exact int or, with an open block, a tuple of
+    ints; None when the planner finds no path.  Exact only when the tensor's
+    dtype holds every partial sum (``dense_tier``)."""
+    steps = _pairwise_plan(_einsum_subscripts(tkey, k, open_block), tensor.shape[0])
+    if steps is None:
         return None
-    tensor, top = dense
-    if top**k * kernel.n**indices >= 1 << 63:
-        return None
-    return tensor
+    operands = [tensor] * k
+    for pops, a_axes, a_shape, b_axes, b_shape, shape in steps:
+        a, b = (operands.pop(i) for i in pops)
+        ab = np.matmul(a.transpose(a_axes).reshape(a_shape), b.transpose(b_axes).reshape(b_shape))
+        operands.append(ab.reshape(shape))
+    (out,) = operands
+    return int(out) if open_block is None else tuple(out.astype(np.int64).tolist())
 
 
 class KernelContractor:
     """Contraction state for one kernel: the ordered support indexed by
     prefix length, a per-incidence-type memo, and the count of distinct
-    types contracted by each backend."""
+    types contracted by each tier."""
 
     def __init__(self, kernel: Kernel):
         self.kernel = kernel
         self.den, self.ints = kernel.int_entries()
+        self._factors: dict[int, Fraction] = {}
         self._patterns: dict[int, dict[tuple[int, ...], list]] = {}
         self._type_memo: dict[tuple[int, TypeKey, int | None], int | tuple[int, ...]] = {}
         self._profile_memo: dict[tuple[int, frozenset[int], bool, tuple[int, ...]], Fraction] = {}
@@ -286,32 +332,24 @@ class KernelContractor:
     def _contract_dense(
         self, tkey: TypeKey, k: int, open_block: int | None = None
     ) -> int | tuple[int, ...] | None:
-        """The type's integer contraction by its compiled pairwise plan, or None when the
-        dense backend may not run it (see the module docstring)."""
+        """The type's integer contraction by its compiled pairwise plan on
+        the tensor of its dense tier, or None when no dense tier may run it
+        (see the module docstring)."""
         tensor = dense_numerators(self.kernel, k, len(tkey))
-        if tensor is None:
-            return None
-        steps = _pairwise_plan(_einsum_subscripts(tkey, k, open_block), self.kernel.n)
-        if steps is None:
-            return None
-        operands = [tensor] * k
-        for pops, a_axes, a_shape, b_axes, b_shape, shape in steps:
-            a, b = (operands.pop(i) for i in pops)
-            ab = np.matmul(a.transpose(a_axes).reshape(a_shape), b.transpose(b_axes).reshape(b_shape))
-            operands.append(ab.reshape(shape))
-        (out,) = operands
-        return int(out) if open_block is None else tuple(out.tolist())
+        return None if tensor is None else run_plan(tensor, tkey, k, open_block)
 
     def _contract(self, tkey: TypeKey, k: int, open_block: int | None):
         """Memoized contraction of a type, summed over every block but
-        ``open_block``, by the first backend that may run it."""
+        ``open_block``, by the first tier that may run it."""
         memo_key = (k, tkey, open_block)
         val = self._type_memo.get(memo_key)
         if val is None:
-            val, backend = self._contract_dense(tkey, k, open_block), "dense"
+            val = self._contract_dense(tkey, k, open_block)
             if val is None:
-                val, backend = self._contract_sparse(tkey, k, open_block), "sparse"
-            self.backend_types[backend] += 1
+                val, tier = self._contract_sparse(tkey, k, open_block), "sparse"
+            else:
+                tier = dense_tier(self.kernel, k, len(tkey))
+            self.backend_types[tier] += 1
             self._type_memo[memo_key] = val
         return val
 
@@ -350,10 +388,13 @@ class KernelContractor:
 
     def from_int(self, total: int, k: int) -> Fraction:
         """Rescale an integer contraction: divide the common denominator back
-        out and apply the kernel's squared scale (``k`` must be even for the
-        result to be the actual moment contribution; odd ``k`` callers handle
-        the leftover square root)."""
-        return Fraction(total, self.den**k) * self.kernel.scale2 ** (k // 2)
+        out and apply the kernel's squared scale, one factor computed once
+        per ``k`` (``k`` must be even for the result to be the actual moment
+        contribution; odd ``k`` callers handle the leftover square root)."""
+        factor = self._factors.get(k)
+        if factor is None:
+            factor = self._factors[k] = self.kernel.scale2 ** (k // 2) / self.den**k
+        return total * factor
 
 
 def _counted_types(
@@ -457,6 +498,20 @@ def _profile_types(
     return {sk: tuple(types) for sk, types in groups.items()}
 
 
+@lru_cache(maxsize=1024)
+def _profile_weights(
+    d: int, k: int, noncrossing: bool, typed: tuple[tuple[int, type, Number], ...]
+) -> tuple[tuple[tuple[int, ...], Number], ...]:
+    """The class's nonzero ``cumulant_weight``s, per block-size profile in
+    ``_profile_types`` order, for the cumulant map given as sorted
+    ``(size, type, cumulant)`` triples: the type keeps a float map's weights
+    apart from an equal exact map's (``3.0 == Fraction(3)``)."""
+    cumulants = {s: c for s, _, c in typed}
+    profiles = _profile_types(d, frozenset(cumulants), k, noncrossing)
+    weights = ((sk, cumulant_weight(cumulants, sk)) for sk in profiles)
+    return tuple((sk, w) for sk, w in weights if w)
+
+
 def weighted_sum(
     contractor: KernelContractor,
     k: int,
@@ -472,9 +527,8 @@ def weighted_sum(
     contracting.
     """
     sizes = frozenset(cumulants)
+    typed = tuple(sorted((s, type(c), c) for s, c in cumulants.items()))
     by_sizes: dict[tuple[int, ...], Fraction] = {}
-    for sk in _profile_types(contractor.kernel.d, sizes, k, noncrossing):
-        w = cumulant_weight(cumulants, sk)
-        if w:
-            by_sizes[sk] = w * contractor.profile_sum(k, sizes, noncrossing, sk)
+    for sk, w in _profile_weights(contractor.kernel.d, k, noncrossing, typed):
+        by_sizes[sk] = w * contractor.profile_sum(k, sizes, noncrossing, sk)
     return sum(by_sizes.values(), Fraction(0)), by_sizes

@@ -6,14 +6,22 @@ contractions); ``slice_kernel`` is a library helper.  The contraction
 backends, and the dense numerator tensor they cache through
 ``Kernel.derived``, live in ``contract``.
 
-Storage convention: only strictly increasing index tuples are kept, with the
-full symmetric extension implied and every diagonal tuple structurally zero.
-A kernel value is ``entry * sqrt(scale2)``: entries are exact rationals and
-``scale2`` is an exact rational carrying the squared normalization constant
-(e.g. ``1/(2n(n-1))`` for the uniform pair kernel), so every even-degree
-moment computed downstream stays an exact rational even when the kernel
-values themselves are irrational.  Perfect-square ``scale2`` factors are
-folded into the entries at construction.
+Storage convention: only strictly increasing index tuples are kept, in
+sorted order, with the full symmetric extension implied and every diagonal
+tuple structurally zero.  A kernel value is ``entry * sqrt(scale2)``.  The
+entries are stored as integer numerators ``nums`` over one common
+denominator ``den``, the least one (the lcm of the reduced denominators), so
+``entry = num / den``; ``scale2`` is an exact rational carrying the squared
+normalization constant (e.g. ``1/(2n(n-1))`` for the uniform pair kernel),
+so every even-degree moment computed downstream stays an exact rational even
+when the kernel values themselves are irrational.  Perfect-square ``scale2``
+factors are folded into the numerators and the denominator at construction.
+``entries``, the ``Fraction`` view, is built on first read.
+
+The public constructor validates its input and takes any rational entries.
+Kernels the package derives from another kernel (families, transforms,
+slices) are built from numerators directly by ``Kernel._derive``, without
+re-validation; ``from_json`` validates the file it reads.
 """
 
 from __future__ import annotations
@@ -24,7 +32,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, isqrt, lcm
+from math import factorial, gcd, isqrt, lcm
 from typing import Iterable, Mapping
 
 from .contract import KernelContractor, canonical_type
@@ -45,10 +53,19 @@ def _sqrt_exact(q: Fraction) -> Fraction | None:
     return None
 
 
+def _common_denominator(
+    fracs: Mapping[tuple[int, ...], Fraction],
+) -> tuple[int, dict[tuple[int, ...], int]]:
+    """Nonzero rational entries as integer numerators, in sorted key order,
+    over their least common denominator."""
+    den = lcm(*(v.denominator for v in fracs.values()))
+    return den, {t: v.numerator * (den // v.denominator) for t, v in sorted(fracs.items()) if v}
+
+
 class Kernel:
     """Symmetric degree-``d`` kernel on ``[n]^d`` vanishing on diagonals."""
 
-    __slots__ = ("n", "d", "entries", "scale2", "mode", "_derived")
+    __slots__ = ("n", "d", "den", "nums", "scale2", "mode", "_derived")
 
     def __init__(
         self,
@@ -76,25 +93,52 @@ class Kernel:
                 raise KernelFormatError(f"index tuple {t} is not strictly increasing")
             if t and (t[0] < 1 or t[-1] > n):
                 raise KernelFormatError(f"index tuple {t} out of range [1, {n}]")
-            fv = Fraction(v)
-            if fv:
-                clean[t] = fv
-        root = _sqrt_exact(s2)
+            clean[t] = Fraction(v)
+        self._store(n, d, *_common_denominator(clean), s2, mode)
+
+    @classmethod
+    def _derive(
+        cls, n: int, d: int, den: int, nums: dict[tuple[int, ...], int], scale2: Fraction | int, mode: str
+    ) -> "Kernel":
+        """A kernel built by the package from valid parts: nonzero numerators
+        over a positive ``den``, keys strictly increasing and in sorted order.
+        Nothing is re-validated; ``den`` need not be the least one."""
+        kernel = cls.__new__(cls)
+        kernel._store(n, d, den, nums, Fraction(scale2), mode)
+        return kernel
+
+    def _store(
+        self, n: int, d: int, den: int, nums: dict[tuple[int, ...], int], scale2: Fraction, mode: str
+    ) -> None:
+        """Fold a perfect-square ``scale2`` into the numerators, reduce to
+        the least common denominator, and store."""
+        root = _sqrt_exact(scale2)
         if root is not None and root != 1:
-            clean = {t: v * root for t, v in clean.items()}
-            s2 = Fraction(1)
+            den *= root.denominator
+            nums = {t: v * root.numerator for t, v in nums.items()}
+            scale2 = Fraction(1)
+        g = gcd(den, *nums.values())
+        if g > 1:
+            den //= g
+            nums = {t: v // g for t, v in nums.items()}
         self.n = n
         self.d = d
-        self.entries = dict(sorted(clean.items()))
-        self.scale2 = s2
+        self.den = den
+        self.nums = nums
+        self.scale2 = scale2
         self.mode = mode
         self._derived: dict = {}
 
     # -- basic queries ------------------------------------------------------
 
     @property
+    def entries(self) -> dict[tuple[int, ...], Fraction]:
+        """The entries as reduced ``Fraction``s, in sorted key order."""
+        return self.derived(_fraction_entries)
+
+    @property
     def support_size(self) -> int:
-        return len(self.entries)
+        return len(self.nums)
 
     @property
     def is_exact_valued(self) -> bool:
@@ -118,7 +162,8 @@ class Kernel:
     def sq_norm(self) -> Fraction:
         """Sum of squared values over the full ordered extension."""
         orbit = factorial(self.d)
-        return self.scale2 * orbit * sum((v * v for v in self.entries.values()), Fraction(0))
+        squares = sum(v * v for v in self.nums.values())
+        return self.scale2 * orbit * Fraction(squares, self.den * self.den)
 
     def gamma_norm(self) -> Fraction:
         """The admissibility normalization ``d! * sum(f^2)``."""
@@ -133,8 +178,9 @@ class Kernel:
         return self._derived[build]
 
     def int_entries(self) -> tuple[int, dict[tuple[int, ...], int]]:
-        """Entries over a common denominator: ``entry = num / den``."""
-        return self.derived(_int_entries)
+        """Entries over their least common denominator: ``entry = num / den``
+        (the stored pair)."""
+        return self.den, self.nums
 
     # -- transforms ---------------------------------------------------------
 
@@ -144,30 +190,25 @@ class Kernel:
             range(1, self.n + 1)
         ):
             raise HomsumError("relabeling must be a permutation of [n]")
-        new = {tuple(sorted(perm[i] for i in t)): v for t, v in self.entries.items()}
-        return Kernel(self.n, self.d, new, self.scale2, self.mode)
+        new = sorted((tuple(sorted(perm[i] for i in t)), v) for t, v in self.nums.items())
+        return Kernel._derive(self.n, self.d, self.den, dict(new), self.scale2, self.mode)
 
     def scaled(self, c: Fraction | int) -> "Kernel":
         """Kernel with every value multiplied by a rational constant."""
         c = Fraction(c)
         if c == 0:
-            return Kernel(self.n, self.d, {}, 1, self.mode)
-        sign = 1 if c > 0 else -1
-        return Kernel(
-            self.n,
-            self.d,
-            {t: sign * v for t, v in self.entries.items()},
-            self.scale2 * c * c,
-            self.mode,
-        )
+            return Kernel._derive(self.n, self.d, 1, {}, 1, self.mode)
+        nums = self.nums if c > 0 else {t: -v for t, v in self.nums.items()}
+        return Kernel._derive(self.n, self.d, self.den, nums, self.scale2 * c * c, self.mode)
 
     # -- equality / repr ----------------------------------------------------
 
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, Kernel)
-            and (self.n, self.d, self.scale2, self.mode) == (other.n, other.d, other.scale2, other.mode)
-            and self.entries == other.entries
+            and (self.n, self.d, self.scale2, self.mode, self.den)
+            == (other.n, other.d, other.scale2, other.mode, other.den)
+            and self.nums == other.nums
         )
 
     def __repr__(self) -> str:
@@ -187,10 +228,9 @@ class Kernel:
                 for t, v in self.entries.items()
             ]
             return {"n": self.n, "d": self.d, "mode": "exact", "entries": ents}
-        root = math.sqrt(self.scale2)
-        ents = [
-            {"idx": list(t), "val": float(v) * root} for t, v in self.entries.items()
-        ]
+        # num / den rounds the rational once, as float(Fraction) does
+        root, den = math.sqrt(self.scale2), self.den
+        ents = [{"idx": list(t), "val": v / den * root} for t, v in self.nums.items()]
         return {"n": self.n, "d": self.d, "mode": "float", "entries": ents}
 
     @classmethod
@@ -203,6 +243,10 @@ class Kernel:
         n, d, mode = data["n"], data["d"], data["mode"]
         if not isinstance(n, int) or not isinstance(d, int):
             raise KernelFormatError("fields 'n' and 'd' must be integers")
+        if d < 1:
+            raise HomsumError(f"kernel degree must be >= 1, got {d}")
+        if n < 0:
+            raise HomsumError(f"kernel index range must be >= 0, got {n}")
         if mode not in ("exact", "float"):
             raise KernelFormatError(f"mode must be 'exact' or 'float', got {mode!r}")
         entries: dict[tuple[int, ...], Fraction] = {}
@@ -231,7 +275,7 @@ class Kernel:
                 if "val" not in ent or not isinstance(ent["val"], (int, float)):
                     raise KernelFormatError(f"entry {pos}: float mode needs numeric 'val'")
                 entries[t] = Fraction(ent["val"])
-        return cls(n, d, entries, 1, mode)
+        return cls._derive(n, d, *_common_denominator(entries), 1, mode)
 
     def dump(self, path: str) -> None:
         with open(path, "w") as fh:
@@ -247,9 +291,9 @@ class Kernel:
         return cls.from_json(data)
 
 
-def _int_entries(kernel: Kernel) -> tuple[int, dict[tuple[int, ...], int]]:
-    den = lcm(*(v.denominator for v in kernel.entries.values()))
-    return den, {t: int(v * den) for t, v in kernel.entries.items()}
+def _fraction_entries(kernel: Kernel) -> dict[tuple[int, ...], Fraction]:
+    den = kernel.den
+    return {t: Fraction(v, den) for t, v in kernel.nums.items()}
 
 
 @dataclass(frozen=True)
@@ -292,7 +336,7 @@ def make_admissible(
         norm = raw.gamma_norm()
         if norm == 0:
             raise NotNormalizable("kernel has no off-diagonal mass")
-        return Kernel(raw.n, raw.d, raw.entries, raw.scale2 / norm, raw.mode)
+        return Kernel._derive(raw.n, raw.d, raw.den, raw.nums, raw.scale2 / norm, raw.mode)
     if n is None or d is None:
         raise HomsumError("make_admissible on a raw mapping needs explicit n and d")
     mode = "exact"
@@ -309,12 +353,11 @@ def make_admissible(
             continue  # diagonal: structurally zero
         key = tuple(sorted(t))
         sums[key] = sums.get(key, Fraction(0)) + Fraction(v)
-    dfact = factorial(d)
-    entries = {t: s / dfact for t, s in sums.items() if s}
-    if not entries:
+    den, nums = _common_denominator(sums)
+    if not nums:
         raise NotNormalizable("raw kernel has zero off-diagonal part after symmetrization")
-    base = Kernel(n, d, entries, 1, mode)
-    return Kernel(n, d, entries, 1 / base.gamma_norm(), mode)
+    # the entries are the sums over d!, a factor the normalization absorbs
+    return make_admissible(Kernel._derive(n, d, den * factorial(d), nums, 1, mode))
 
 
 def slice_kernel(kernel: Kernel, fixed: Iterable[int]) -> Kernel:
@@ -328,14 +371,13 @@ def slice_kernel(kernel: Kernel, fixed: Iterable[int]) -> Kernel:
     if any(j < 1 or j > kernel.n for j in fixed):
         raise HomsumError(f"slice indices {fixed} out of range [1, {kernel.n}]")
     if len(set(fixed)) != m:
-        return Kernel(kernel.n, kernel.d - m, {}, 1, kernel.mode)
+        return Kernel._derive(kernel.n, kernel.d - m, 1, {}, 1, kernel.mode)
     fset = frozenset(fixed)
-    new: dict[tuple[int, ...], Fraction] = {}
-    for t, v in kernel.entries.items():
-        if fset <= set(t):
-            rest = tuple(i for i in t if i not in fset)
-            new[rest] = v
-    return Kernel(kernel.n, kernel.d - m, new, kernel.scale2, kernel.mode)
+    # dropping the same values from sorted tuples keeps their order
+    new = {
+        tuple(i for i in t if i not in fset): v for t, v in kernel.nums.items() if fset <= set(t)
+    }
+    return Kernel._derive(kernel.n, kernel.d - m, kernel.den, new, kernel.scale2, kernel.mode)
 
 
 def influence(kernel: Kernel, i: int) -> Fraction:
@@ -344,17 +386,17 @@ def influence(kernel: Kernel, i: int) -> Fraction:
     if i < 1 or i > kernel.n:
         raise HomsumError(f"index {i} out of range [1, {kernel.n}]")
     orbit = factorial(kernel.d - 1)
-    acc = sum((v * v for t, v in kernel.entries.items() if i in t), Fraction(0))
-    return kernel.scale2 * orbit * acc
+    acc = sum(v * v for t, v in kernel.nums.items() if i in t)
+    return kernel.scale2 * orbit * Fraction(acc, kernel.den * kernel.den)
 
 
 def influence_max(kernel: Kernel) -> Fraction:
     """The largest ``influence(kernel, i)``, from one pass over the support."""
     if kernel.n == 0:
         return Fraction(0)
-    den, ints = kernel.int_entries()
+    den, nums = kernel.int_entries()
     acc = [0] * kernel.n
-    for t, v in ints.items():
+    for t, v in nums.items():
         for i in t:
             acc[i - 1] += v * v
     return kernel.scale2 * factorial(kernel.d - 1) * Fraction(max(acc), den * den)
@@ -411,25 +453,22 @@ def family_kernel(family: KernelFamily, n: int) -> Kernel:
             f"family {family.family_id!r} (d={d}) needs n >= {family.min_n}, got {n}"
         )
     if family.family_id == "off-diagonal-pair":
-        entries = {t: Fraction(1) for t in itertools.combinations(range(1, n + 1), 2)}
-        return Kernel(n, 2, entries, Fraction(1, 2 * n * (n - 1)))
+        nums = dict.fromkeys(itertools.combinations(range(1, n + 1), 2), 1)
+        return Kernel._derive(n, 2, 1, nums, Fraction(1, 2 * n * (n - 1)), "exact")
     if family.family_id == "product":
-        return Kernel(n, d, {tuple(range(1, d + 1)): Fraction(1, factorial(d))}, 1)
+        return Kernel._derive(n, d, factorial(d), {tuple(range(1, d + 1)): 1}, 1, "exact")
     if family.family_id == "star":
         # hub index 1 plus (n-1) disjoint blocks of d-1 fresh indices
-        entries: dict[tuple[int, ...], Fraction] = {}
-        nxt = 2
-        for _ in range(n - 1):
-            block = tuple(range(nxt, nxt + d - 1))
-            nxt += d - 1
-            entries[(1, *block)] = Fraction(1, factorial(d))
-        return Kernel(nxt - 1, d, entries, Fraction(1, n - 1))
+        blocks = range(2, (n - 1) * (d - 1) + 2, d - 1)
+        nums = {(1, *range(b, b + d - 1)): 1 for b in blocks}
+        return Kernel._derive((n - 1) * (d - 1) + 1, d, factorial(d), nums, Fraction(1, n - 1), "exact")
     # free-clt: block sums over residue classes mod d on [n*d]
-    entries = {}
-    for choices in itertools.product(range(n), repeat=d):
-        t = tuple(sorted(j * d + r for r, j in enumerate(choices, start=1)))
-        entries[t] = Fraction(1, factorial(d))
-    return Kernel(n * d, d, entries, Fraction(1, n**d))
+    tuples = (
+        tuple(sorted(j * d + r for r, j in enumerate(choices, start=1)))
+        for choices in itertools.product(range(n), repeat=d)
+    )
+    nums = dict.fromkeys(sorted(tuples), 1)
+    return Kernel._derive(n * d, d, factorial(d), nums, Fraction(1, n**d), "exact")
 
 
 def random_admissible_kernel(
@@ -444,13 +483,14 @@ def random_admissible_kernel(
     with the normalization carried exactly by ``scale2``."""
     if n < d:
         raise HomsumError(f"need n >= d for a non-trivial kernel, got n={n}, d={d}")
-    entries: dict[tuple[int, ...], Fraction] = {}
+    drawn: dict[tuple[int, ...], tuple[int, int]] = {}
     for t in itertools.combinations(range(1, n + 1), d):
         if rng.random() < density:
-            v = Fraction(rng.randint(-max_num, max_num), rng.randint(1, max_den))
-            if v:
-                entries[t] = v
-    if not entries:
-        entries[tuple(range(1, d + 1))] = Fraction(1)
-    base = Kernel(n, d, entries, 1)
-    return Kernel(n, d, entries, 1 / base.gamma_norm())
+            num, den = rng.randint(-max_num, max_num), rng.randint(1, max_den)
+            if num:
+                drawn[t] = num, den
+    if not drawn:
+        drawn[tuple(range(1, d + 1))] = 1, 1
+    den = lcm(*(q for _, q in drawn.values()))
+    nums = {t: p * (den // q) for t, (p, q) in drawn.items()}
+    return make_admissible(Kernel._derive(n, d, den, nums, 1, "exact"))

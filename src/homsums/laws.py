@@ -22,14 +22,21 @@ Number = Fraction | float
 MAX_ORDER = 8
 
 
-def _power_coefficient(moments: Sequence[Number], s: int, j: int) -> Number:
+def _power_coefficient(
+    powers: list[list[Number]], moments: Sequence[Number], s: int, j: int
+) -> Number:
     """``[z^j] M(z)^s`` for ``M(z) = sum_i moments[i] z^i`` (``moments[0] = 1``
-    and ``j < len(moments)``)."""
-    power: list[Number] = [Fraction(1)] + [Fraction(0)] * j
-    for _ in range(s):
-        power = [sum((power[i] * moments[t - i] for i in range(t + 1)), Fraction(0))
-                 for t in range(j + 1)]
-    return power[j]
+    and ``j < len(moments)``).  ``powers[r][t]`` memoizes ``[z^t] M(z)^r``
+    (start from ``[[Fraction(1)]]``), and ``moments`` may only grow between
+    calls: a coefficient of degree ``t`` reads ``moments[:t + 1]`` alone, so
+    each one is built once, from those of ``M(z)^(r-1)`` in one fixed order."""
+    while len(powers) <= s:
+        powers.append([])
+    powers[0].extend([Fraction(0)] * (j + 1 - len(powers[0])))
+    for prev, row in zip(powers, powers[1 : s + 1]):
+        for t in range(len(row), j + 1):
+            row.append(sum((prev[i] * moments[t - i] for i in range(t + 1)), Fraction(0)))
+    return powers[s][j]
 
 
 def _transform(seq: Sequence[Number], noncrossing: bool, to_cumulants: bool) -> tuple[Number, ...]:
@@ -50,11 +57,12 @@ def _typed_transform(
         raise HomsumError(f"{what} sequences supported for orders 1..{MAX_ORDER}, got {K}")
     moms: list[Number] = [Fraction(1)]
     cums: list[Number] = []
+    powers: list[list[Number]] = [[Fraction(1)]]
     for n in range(1, K + 1):
         rest: Number = Fraction(0)
         for s in range(1, n):
             if noncrossing:
-                coeff = _power_coefficient(moms, s, n - s)
+                coeff = _power_coefficient(powers, moms, s, n - s)
             else:
                 coeff = comb(n - 1, s - 1) * moms[n - s]
             rest += cums[s - 1] * coeff

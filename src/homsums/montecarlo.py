@@ -196,11 +196,13 @@ def _horner_plan(kernel: Kernel) -> tuple[np.ndarray, list]:
     children (a parent's children are contiguous because the support is
     sorted).  The empty kernel gets the zero plan of degree 1."""
     d = kernel.d
-    if not kernel.entries:
+    den, nums = kernel.int_entries()
+    if not nums:
         return np.zeros((1, kernel.n)), []
-    idx = np.array(list(kernel.entries), dtype=np.intp) - 1
+    idx = np.array(list(nums), dtype=np.intp) - 1
     root = math.sqrt(kernel.scale2)
-    w = np.array([float(v) * root * math.factorial(d) for v in kernel.entries.values()])
+    # num / den rounds the rational once, as float(Fraction) does
+    w = np.array([v / den * root * math.factorial(d) for v in nums.values()])
     # new[l, k]: support row k starts a new prefix of length l
     new = np.zeros((d, len(idx)), dtype=bool)
     new[:, 0] = True

@@ -33,16 +33,16 @@ def rng():
 
 @pytest.fixture
 def built_kernels(monkeypatch):
-    """The argument tuples of every ``Kernel`` constructed while the test
-    runs."""
+    """The argument tuples of every ``Kernel`` stored while the test runs,
+    whether built by the public constructor or derived by the package."""
     built = []
-    real = Kernel.__init__
+    real = Kernel._store
 
     def counting(self, *args, **kwargs):
         built.append(args)
         real(self, *args, **kwargs)
 
-    monkeypatch.setattr(Kernel, "__init__", counting)
+    monkeypatch.setattr(Kernel, "_store", counting)
     return built
 
 

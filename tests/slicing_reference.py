@@ -9,6 +9,8 @@ import random
 from fractions import Fraction
 from math import factorial
 
+import numpy as np
+
 from homsums import (
     Kernel,
     KernelFamily,
@@ -64,14 +66,15 @@ def square_sum_by_grouping(kernel: Kernel, s: int) -> Fraction:
 
 def square_sum_by_gram(kernel: Kernel, s: int) -> Fraction | None:
     """``contraction_square_sum`` as the squared Frobenius norm of the smaller
-    Gram matrix of the dense numerator tensor reshaped to ``n^(d-s) x n^s``;
-    None when the kernel has no int64-safe dense tensor."""
+    Gram matrix of the dense numerator tensor reshaped to ``n^(d-s) x n^s``,
+    in int64 whichever dense tier the engines use; None when the kernel has
+    no int64-safe dense tensor."""
     d, n = kernel.d, kernel.n
     tensor = dense_numerators(kernel, 4, 2 * d)
     if tensor is None:
         return None
     den, _ = kernel.int_entries()
-    m = tensor.reshape(n ** (d - s), n**s)
+    m = tensor.astype(np.int64).reshape(n ** (d - s), n**s)
     gram = m.T @ m if s < d - s else m @ m.T
     return Fraction(int((gram * gram).sum()), den**4) * kernel.scale2**2
 

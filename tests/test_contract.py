@@ -8,6 +8,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from homsums import (
@@ -30,7 +31,15 @@ from homsums import (
     random_admissible_kernel,
     slice_kernel,
 )
-from homsums.contract import KernelContractor, grouped_types, incidence_type, weighted_sum
+from homsums import contract
+from homsums.contract import (
+    KernelContractor,
+    dense_tier,
+    grouped_types,
+    incidence_type,
+    run_plan,
+    weighted_sum,
+)
 
 
 def naive_partition_sum(kernel, p, k):
@@ -170,15 +179,28 @@ def uniform_kernel(n, d, value):
 
 def test_dense_contraction_at_the_int64_bound():
     """Two copies of a degree-2 kernel on n = 3 paired slot by slot: two
-    blocks, so dense runs iff max|num|^2 * 3^2 < 2^63.  Just below it runs
-    dense; just above, and far above (where int64 would wrap), it falls
-    back to the sparse walk, and both give the exact n(n-1) v^2."""
+    blocks, so the bound is max|num|^2 * 3^2.  Just below 2^53 the type runs
+    in float64, just above it in int64; just below 2^63 in int64, just above
+    it, and far above (where int64 would wrap), by the sparse walk.  Every
+    tier gives the exact n(n-1) v^2; the float64 case's value lies within a
+    factor 2 of 2^53."""
     tkey, k = (3, 3), 2
-    top = math.isqrt((2**63 - 1) // 9)
-    for value, backend in ((top, "dense"), (top + 1, "sparse"), (2**40, "sparse")):
-        contractor = KernelContractor(uniform_kernel(3, 2, value))
+    below53 = math.isqrt((2**53 - 1) // 9)
+    below63 = math.isqrt((2**63 - 1) // 9)
+    tiers = [
+        (below53, "float64"),
+        (below53 + 1, "int64"),
+        (below63, "int64"),
+        (below63 + 1, "sparse"),
+        (2**40, "sparse"),
+    ]
+    for value, tier in tiers:
+        kernel = uniform_kernel(3, 2, value)
+        contractor = KernelContractor(kernel)
         assert contractor.type_value(tkey, k) == 6 * value**2
-        assert contractor.backend_types == {backend: 1}
+        assert contractor.backend_types == {tier: 1}
+        assert dense_tier(kernel, k, len(tkey)) == (None if tier == "sparse" else tier)
+    assert 6 * below53**2 > 2**52
 
 
 def cli_cold_kernel(d, n):
@@ -203,12 +225,18 @@ def backends_used(kernel):
 
 
 def test_backend_dispatch():
-    # the kernels of both benchmark workloads contract densely
+    # every type of the kernels of both benchmark workloads contracts in
+    # float64, through BLAS
     dense = [cli_cold_kernel(3, 6), cli_cold_kernel(4, 7), cli_cold_kernel(5, 7)]
     dense += [family_kernel(KernelFamily("off-diagonal-pair", 2), n) for n in (24, 48)]
     dense += [family_kernel(KernelFamily("free-clt", 3), n) for n in (4, 10)]
     for kernel in dense:
-        assert backends_used(kernel) == {"dense"}, kernel
+        assert backends_used(kernel) == {"float64"}, kernel
+    # the d=3 cli-cold kernel's numerators times 2^8 (the largest 3,072):
+    # every type's bound lies in 2^53..2^63, so every type runs in int64
+    d3 = cli_cold_kernel(3, 6)
+    big = Kernel._derive(d3.n, d3.d, 1, {t: v << 8 for t, v in d3.nums.items()}, 1, "exact")
+    assert backends_used(big) == {"int64"}
     degree_one = slice_kernel(cli_cold_kernel(3, 6), (1, 2))
     assert degree_one.d == 1 and degree_one.entries
     rng = random.Random(5)
@@ -231,10 +259,57 @@ def test_type_marginal_is_equal_on_both_backends():
         assert len(marginal) == kernel.n
         assert marginal == sparse.type_marginal(tkey, 4)
         assert sum(marginal) == dense.type_value(tkey, 4) == sparse.type_value(tkey, 4)
-    assert dense.backend_types == {"dense": 4}
+    assert dense.backend_types == {"float64": 4}
     assert sparse.backend_types == {"sparse": 4}
     with pytest.raises(HomsumError):
         dense.type_marginal((3, 12, 15, 15), 4)
+
+
+TIER_KERNELS = {
+    "cli-cold-d3": lambda: cli_cold_kernel(3, 6),
+    "cli-cold-d4": lambda: cli_cold_kernel(4, 7),
+    "cli-cold-d5": lambda: cli_cold_kernel(5, 7),
+    "pair-48": lambda: family_kernel(KernelFamily("off-diagonal-pair", 2), 48),
+    "star-d3": lambda: family_kernel(KernelFamily("star", 3), 4),
+    "free-clt-d3": lambda: family_kernel(KernelFamily("free-clt", 3), 4),
+    "random-d3": lambda: random_admissible_kernel(random.Random(7), 3, 6),
+    "random-d4": lambda: random_admissible_kernel(random.Random(8), 4, 6),
+}
+
+
+@pytest.mark.parametrize("name", list(TIER_KERNELS))
+def test_tiers_agree_type_by_type(name):
+    """Every type the engines contract on these kernels, summed whole
+    (``type_value``) or with its open block (``type_marginal``), gives the
+    same integers on the float64 tensor, on the int64 tensor and by the
+    sparse walk; each of them ran in float64."""
+    kernel = TIER_KERNELS[name]()
+    assert backends_used(kernel) == {"float64"}
+    contractor = KernelContractor.of(kernel)
+    floats = kernel.derived(contract.TIER_TENSORS["float64"])
+    ints = kernel.derived(contract.TIER_TENSORS["int64"])
+    assert floats.dtype == np.float64 and ints.dtype == np.int64
+    memo = contractor._type_memo
+    assert any(open_block is not None for _, _, open_block in memo)
+    for (k, tkey, open_block), value in memo.items():
+        assert dense_tier(kernel, k, len(tkey)) == "float64"
+        assert run_plan(floats, tkey, k, open_block) == value, (k, tkey, open_block)
+        assert run_plan(ints, tkey, k, open_block) == value, (k, tkey, open_block)
+        assert contractor._contract_sparse(tkey, k, open_block) == value, (k, tkey, open_block)
+
+
+def test_float64_equals_int64_on_large_blas_steps():
+    """At n = 256 the steps are matrix products large enough for BLAS to
+    block and thread them: every type of a random kernel's engines still
+    gives the int64 integers in float64, its bounds being below 2^53."""
+    kernel = random_admissible_kernel(random.Random(9), 2, 256)
+    assert backends_used(kernel) == {"float64"}
+    floats = kernel.derived(contract.TIER_TENSORS["float64"])
+    ints = kernel.derived(contract.TIER_TENSORS["int64"])
+    memo = KernelContractor.of(kernel)._type_memo
+    for (k, tkey, open_block), value in memo.items():
+        assert run_plan(ints, tkey, k, open_block) == value, (k, tkey, open_block)
+        assert run_plan(floats, tkey, k, open_block) == value, (k, tkey, open_block)
 
 
 F = Fraction
@@ -276,6 +351,29 @@ def test_profile_assembly_equals_per_type_reference(d):
                 got = weighted_sum(contractor, k, cumulants, nc)
                 assert got[0] == want[0], (kernel, k, cumulants, nc)
                 assert list(got[1].items()) == list(want[1].items()), (kernel, k, cumulants, nc)
+
+
+def test_cumulant_weights_once_per_map_and_class(monkeypatch):
+    """A cumulant map's profile weights are computed once per class, not per
+    kernel or call, and a float map keeps apart from the equal exact map:
+    each sum keeps its own number type."""
+    calls = []
+    real = contract.cumulant_weight
+    monkeypatch.setattr(contract, "cumulant_weight", lambda c, sk: calls.append(sk) or real(c, sk))
+    contract._profile_weights.cache_clear()
+    rng = random.Random(4)
+    kernels = [random_admissible_kernel(rng, 2, 5) for _ in range(3)]
+    exact, floats = {2: F(1), 4: F(3, 2)}, {2: 1.0, 4: 1.5}
+    profiles = list(contract._profile_types(2, frozenset(exact), 4, True))
+    for kernel in kernels:
+        contractor = KernelContractor(kernel)
+        total, by_sizes = weighted_sum(contractor, 4, exact, True)
+        float_total, float_by_sizes = weighted_sum(contractor, 4, floats, True)
+        assert type(total) is Fraction and type(float_total) is float
+        assert float_total == pytest.approx(float(total), rel=1e-12)
+        for sk, value in float_by_sizes.items():
+            assert value == real(floats, sk) * contractor.profile_sum(4, frozenset(floats), True, sk)
+    assert calls == profiles * 2
 
 
 def three_copy_types(kernel):

@@ -3,9 +3,10 @@ families and the JSON interchange."""
 
 import itertools
 import json
+import math
 import random
 from fractions import Fraction
-from math import factorial, isqrt
+from math import factorial, isqrt, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -26,6 +27,7 @@ from homsums import (
     random_admissible_kernel,
     slice_kernel,
 )
+import kernel_reference as ref
 from homsums.contract import KernelContractor, dense_numerators
 from slicing_reference import reference_kernels, square_sum_by_gram, square_sum_by_grouping
 
@@ -204,7 +206,7 @@ def test_dense_square_sum_equals_dict_grouping(d):
     for s in range(1, d):
         typed = contraction_square_sum(kernel, s)
         assert typed == square_sum_by_gram(kernel, s) == square_sum_by_grouping(kernel, s)
-    assert set(KernelContractor.of(kernel).backend_types) == {"dense"}
+    assert set(KernelContractor.of(kernel).backend_types) == {"float64"}
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5])
@@ -287,6 +289,97 @@ def test_family_validation():
         family_kernel(KernelFamily("star", 2), 1)
     with pytest.raises(HomsumError):
         family_kernel(KernelFamily("product", 3), 2)
+
+
+# -- integer storage against the Fraction references ---------------------------------
+
+
+def assert_stores(kernel, want):
+    """The kernel's ``Fraction`` view and scale equal a reference
+    construction, and its stored pair is those entries over their least
+    common denominator."""
+    entries, scale2 = want
+    assert list(kernel.entries.items()) == list(entries.items())
+    assert kernel.scale2 == scale2
+    den, nums = kernel.int_entries()
+    assert den == lcm(*(v.denominator for v in entries.values()))
+    assert list(nums.items()) == [(t, int(v * den)) for t, v in entries.items()]
+
+
+FAMILY_CASES = (
+    [("off-diagonal-pair", 2, n) for n in (2, 3, 9, 10, 50)]
+    + [("product", d, d + 1) for d in (2, 3, 4)]
+    + [("star", d, n) for d in (2, 3, 4) for n in (2, 5)]
+    + [("free-clt", d, n) for d in (2, 3) for n in (1, 2, 4)]
+)
+
+
+@pytest.mark.parametrize("family_id,d,n", FAMILY_CASES)
+def test_family_entries_equal_fraction_reference(family_id, d, n):
+    assert_stores(family_kernel(KernelFamily(family_id, d), n), ref.family(family_id, d, n))
+
+
+def test_random_kernel_entries_equal_fraction_reference():
+    for seed, d, n, kwargs in [
+        (0, 2, 4, {}),
+        (1, 3, 6, {}),
+        (2, 4, 7, {}),
+        (3, 5, 7, {}),
+        (4, 3, 6, {"max_num": 9, "max_den": 12}),
+        (5, 2, 5, {"density": 0.01}),
+    ]:
+        got = random_admissible_kernel(random.Random(seed), d, n, **kwargs)
+        assert_stores(got, ref.random_kernel(random.Random(seed), d, n, **kwargs))
+
+
+def reference_cases():
+    rng = random.Random(23)
+    cases = [(family_kernel(KernelFamily(f, d), n), ref.family(f, d, n)) for f, d, n in FAMILY_CASES[::3]]
+    for d, n in ((2, 5), (3, 6), (4, 6)):
+        seed = rng.random()
+        kernel = random_admissible_kernel(random.Random(seed), d, n, max_den=7)
+        cases.append((kernel, ref.random_kernel(random.Random(seed), d, n, max_den=7)))
+    return cases
+
+
+def test_transforms_keep_entries_equal_fraction_reference():
+    """``scaled``, ``relabel``, ``slice_kernel``, ``make_admissible`` and a
+    JSON round trip of each family and random kernel equal the same
+    transform on ``Fraction`` entries."""
+    rng = random.Random(29)
+    for kernel, want in reference_cases():
+        n, d = kernel.n, kernel.d
+        assert_stores(kernel, want)
+        for c in (Fraction(3, 2), Fraction(-2), 0, Fraction(1, 3), 7):
+            assert_stores(kernel.scaled(c), ref.scaled(*want, c))
+        perm = list(range(1, n + 1))
+        rng.shuffle(perm)
+        perm = {i + 1: p for i, p in enumerate(perm)}
+        assert_stores(kernel.relabel(perm), ref.relabel(*want, perm))
+        fixed_sets = [(1,), (n,), (2, 1), (1, 1)] if d >= 3 else [(1,), (n,)]
+        for fixed in fixed_sets:
+            assert_stores(slice_kernel(kernel, fixed), ref.sliced(*want, fixed))
+        tripled = ref.scaled(*want, 3)
+        assert_stores(make_admissible(kernel.scaled(3)), ref.normalized(*tripled, d))
+        loaded = Kernel.from_json(json.loads(json.dumps(kernel.to_json())))
+        if kernel.scale2 == 1:
+            assert loaded == kernel
+            assert_stores(loaded, want)
+        else:
+            root = math.sqrt(want[1])
+            assert_stores(loaded, ref.stored({t: Fraction(float(v) * root) for t, v in want[0].items()}))
+            assert loaded.mode == "float"
+
+
+def test_make_admissible_of_raw_values_equals_fraction_reference():
+    rng = random.Random(31)
+    for d, n in ((2, 4), (3, 5)):
+        for floats in (False, True):
+            raw = {}
+            for t in itertools.product(range(1, n + 1), repeat=d):
+                if rng.random() < 0.4:
+                    raw[t] = rng.uniform(-2, 2) if floats else Fraction(rng.randint(-4, 4), rng.randint(1, 5))
+            assert_stores(make_admissible(raw, n, d), ref.admissible_from_raw(raw, n, d))
 
 
 # -- JSON interchange ------------------------------------------------------------

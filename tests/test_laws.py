@@ -120,6 +120,49 @@ def test_float_moments_flow_through():
     assert law.chi(4) == pytest.approx(m4 - 3)
 
 
+def power_coefficient_reference(moments, s, j):
+    """``[z^j] M(z)^s`` rebuilt from scratch for every ``(s, j)``: the
+    recursion before its powers were memoized."""
+    power = [Fraction(1)] + [Fraction(0)] * j
+    for _ in range(s):
+        power = [sum((power[i] * moments[t - i] for i in range(t + 1)), Fraction(0)) for t in range(j + 1)]
+    return power[j]
+
+
+def free_transform_reference(seq, to_cumulants):
+    moms, cums = [Fraction(1)], []
+    for n in range(1, len(seq) + 1):
+        rest = Fraction(0)
+        for s in range(1, n):
+            rest += cums[s - 1] * power_coefficient_reference(moms, s, n - s)
+        if to_cumulants:
+            moms.append(seq[n - 1])
+            cums.append(seq[n - 1] - rest)
+        else:
+            cums.append(seq[n - 1])
+            moms.append(rest + seq[n - 1])
+    return tuple(cums) if to_cumulants else tuple(moms[1:])
+
+
+@pytest.mark.parametrize("to_cumulants", [True, False])
+def test_free_transform_equals_unmemoized_recursion_bit_for_bit(rng, to_cumulants):
+    """The memoized powers of M(z) give the same cumulants (or moments) as
+    the recursion that rebuilt every power, value and type, bit for bit on
+    float sequences, signed zeros included, and exactly on Fractions."""
+    transform = moments_to_free_cumulants if to_cumulants else free_cumulants_to_moments
+    sequences = [
+        (0.0, 1.0, 0.3, 2.7, -0.1, 9.2, 1e-3, 41.5),
+        (-0.0, 1.0, -0.0, 3.0 ** 0.5, 0.0, -2.25),
+        (0, 1, Fraction(1, 3), 3.0 ** (1 / 3), Fraction(-5, 2), 7.5, 0, 2),
+    ]
+    sequences += [tuple(rng.uniform(-5, 5) for _ in range(8)) for _ in range(20)]
+    sequences += [tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(8)) for _ in range(5)]
+    for seq in sequences:
+        got = transform(seq)
+        want = free_transform_reference(seq, to_cumulants)
+        assert [(type(x), repr(x)) for x in got] == [(type(x), repr(x)) for x in want], seq
+
+
 def test_transform_length_cap():
     with pytest.raises(HomsumError):
         moments_to_cumulants_classical((0,) * 9)

@@ -25,7 +25,7 @@ from homsums import (
     random_admissible_kernel,
     sample_mixture_t,
 )
-from montecarlo_reference import formula_entries, gather_sum
+from montecarlo_reference import formula_entries, gather_sum, tuple_weights
 from slicing_reference import reference_kernels
 
 N_SMOKE = 200_000
@@ -203,6 +203,23 @@ def test_nested_sum_matches_gather_reference(d, budget, monkeypatch):
         q = montecarlo._homogeneous_sum(kernel, len(x), lambda lo, hi: x[lo:hi].T)
         ref, scale = gather_sum(kernel, x)
         assert np.all(np.abs(q - ref) <= 1e-12 * scale), name
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+def test_plan_weights_equal_the_fraction_formula_bit_for_bit(d):
+    """Each weight of the nested plan, built from the integer numerators,
+    is ``float(entry) * sqrt(scale2) * d!`` on the ``Fraction`` entry, bit
+    for bit, on exact, irrational-scale and float-mode kernels: it sits at
+    the row of its tuple's (d-1)-prefix and the column of its last index."""
+    for name, kernel in nested_sum_kernels(d).items():
+        weights, _ = montecarlo._horner_plan(kernel)
+        idx, want = tuple_weights(kernel)
+        assert np.count_nonzero(weights) == len(want), name
+        rows = {}
+        for t in map(tuple, idx):
+            rows.setdefault(t[:-1], len(rows))
+        got = np.array([weights[rows[tuple(t[:-1])], t[-1]] for t in idx])
+        assert np.array_equal(got, want), name
 
 
 @pytest.mark.parametrize("q", [1, 2, 3, 4])
