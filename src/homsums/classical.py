@@ -24,7 +24,6 @@ from .contract import KernelContractor, grouped_types, partition_class_size, wei
 from .errors import AssumptionViolation, GroundCapExceeded
 from .kernels import Kernel
 from .laws import ClassicalLaw
-from .partitions import cap_check
 from .reports import MomentReport
 
 #: The partition oracle counts the interval-respecting classes on [4d] by
@@ -48,7 +47,6 @@ def gaussian_fourth_moment(kernel: Kernel) -> MomentReport:
     """``E[Q_N(f)^4]`` as the Wick sum over interval-respecting pairings of
     the 4d index positions.  Exact for exact kernels; admissibility is not
     required."""
-    cap_check(4 * kernel.d)
     detail = {
         "pairings": partition_class_size(kernel.d, {2}, 4, False),
         "ground": 4 * kernel.d,
@@ -74,7 +72,7 @@ def _slice_fourth_sums(kernel: Kernel) -> tuple[Fraction, ...]:
     for m in range(1, d + 1):
         total = sum(
             count * contractor.type_value(tkey + (15,) * m, 4)
-            for tkey, _, count in grouped_types(d - m, frozenset({2}), 4, False)
+            for tkey, count in grouped_types(d - m, frozenset({2}), 4, False)
         )
         sums.append(contractor.from_int(total, 4))
     return tuple(sums)
@@ -94,7 +92,6 @@ def classical_fourth_moment_formula(
             )
     d = kernel.d
     chi4 = law.chi(4)
-    cap_check(4 * d)
     base = kernel.derived(_wick_sum)
     slice_sums = kernel.derived(_slice_fourth_sums)
     detail: dict = {"m=0": base}
@@ -123,7 +120,6 @@ def classical_fourth_moment_oracle(kernel: Kernel, law: ClassicalLaw) -> MomentR
         raise GroundCapExceeded(
             f"partition oracle supports degree <= {ORACLE_MAX_DEGREE}, got {d}"
         )
-    cap_check(4 * d)
     if law.moment(1) != 0:
         raise AssumptionViolation("partition oracle needs a centered law (m1 = 0)")
     chi = {s: law.chi(s) for s in (2, 3, 4)}

@@ -10,10 +10,12 @@ per block.
 Because the kernel is symmetric, the value of that sum depends only on which
 copies each block touches, so partitions are grouped by that incidence type
 (canonicalized under copy relabeling) and each distinct type is contracted
-once.  Contractions run over the kernel's stored integer numerators on
-their common denominator, with the denominator and the kernel's squared
-scale factored back in at the end (one factor per kernel and ``k``), so
-results are exact rationals.
+once.  A block's size is the number of copies it touches, so a type fixes its
+block sizes; ``grouped_types`` builds a class as ``(type, count)`` pairs after
+the one ``cap_check`` of its ground set.  Contractions run over the kernel's
+stored integer numerators on their common denominator, with the denominator
+and the kernel's squared scale factored back in at the end (one factor per
+kernel and ``k``), so results are exact rationals.
 
 ``KernelContractor.type_value`` contracts a type by one of three tiers,
 chosen from the kernel and the type alone.  All read each copy's blocks
@@ -42,7 +44,8 @@ partial sum of every step, in any order, is at most
   one index per live-block count, at most ``d + 1``.
 
 All three give the same integer, and a dense result converts back to an
-exact int; the contractor counts the distinct types each tier contracted in
+exact int.  A type's tier is picked once, when it is first contracted; the
+contractor counts the distinct types each tier contracted in
 ``backend_types``.  Each dense tensor is built once per kernel through
 ``Kernel.derived``, the first time a type needs its tier.
 
@@ -72,7 +75,7 @@ import numpy as np
 
 from .errors import HomsumError
 from .laws import Number
-from .partitions import BlockProfile, IntervalPattern, Partition, enumerate_partitions
+from .partitions import BlockProfile, IntervalPattern, Partition, cap_check, enumerate_partitions
 
 if TYPE_CHECKING:
     from .kernels import Kernel
@@ -228,13 +231,6 @@ def dense_tier(kernel: Kernel, k: int, indices: int) -> str | None:
     return "int64" if bound < 1 << 63 else None
 
 
-def dense_numerators(kernel: Kernel, k: int, indices: int) -> np.ndarray | None:
-    """The kernel's numerator tensor in the dtype of its ``dense_tier``, built
-    once per kernel and tier; None when no dense tier is exact."""
-    tier = dense_tier(kernel, k, indices)
-    return None if tier is None else kernel.derived(TIER_TENSORS[tier])
-
-
 def run_plan(tensor: np.ndarray, tkey: TypeKey, k: int, open_block: int | None = None):
     """A type's contraction by its compiled pairwise plan on ``tensor`` (of
     either dense dtype), as an exact int or, with an open block, a tuple of
@@ -331,12 +327,15 @@ class KernelContractor:
 
     def _contract_dense(
         self, tkey: TypeKey, k: int, open_block: int | None = None
-    ) -> int | tuple[int, ...] | None:
+    ) -> tuple[int | tuple[int, ...], str] | None:
         """The type's integer contraction by its compiled pairwise plan on
-        the tensor of its dense tier, or None when no dense tier may run it
-        (see the module docstring)."""
-        tensor = dense_numerators(self.kernel, k, len(tkey))
-        return None if tensor is None else run_plan(tensor, tkey, k, open_block)
+        the tensor of its dense tier, with that tier; None when no dense tier
+        may run it (see the module docstring)."""
+        tier = dense_tier(self.kernel, k, len(tkey))
+        if tier is None:
+            return None
+        val = run_plan(self.kernel.derived(TIER_TENSORS[tier]), tkey, k, open_block)
+        return None if val is None else (val, tier)
 
     def _contract(self, tkey: TypeKey, k: int, open_block: int | None):
         """Memoized contraction of a type, summed over every block but
@@ -344,11 +343,8 @@ class KernelContractor:
         memo_key = (k, tkey, open_block)
         val = self._type_memo.get(memo_key)
         if val is None:
-            val = self._contract_dense(tkey, k, open_block)
-            if val is None:
-                val, tier = self._contract_sparse(tkey, k, open_block), "sparse"
-            else:
-                tier = dense_tier(self.kernel, k, len(tkey))
+            dense = self._contract_dense(tkey, k, open_block)
+            val, tier = dense or (self._contract_sparse(tkey, k, open_block), "sparse")
             self.backend_types[tier] += 1
             self._type_memo[memo_key] = val
         return val
@@ -399,17 +395,17 @@ class KernelContractor:
 
 def _counted_types(
     d: int, sizes: frozenset[int], k: int
-) -> tuple[tuple[TypeKey, tuple[int, ...], int], ...]:
+) -> tuple[tuple[TypeKey, int], ...]:
     """Incidence types and multiplicities of the interval-respecting
     partitions of ``[k*d]`` with block sizes in ``sizes``, counted without
     listing them.
 
     Such a partition is described by a multiplicity vector M over copy
     bitmasks S with ``popcount(S)`` in ``sizes``, covering every copy exactly
-    ``d`` times; its block sizes are the popcounts.  Assigning slots copy by
-    copy gives ``d!^k`` labelings, of which each partition is counted
-    ``prod M_S!`` times (blocks on the same copy set are interchangeable), so
-    M accounts for ``d!^k / prod M_S!`` partitions.
+    ``d`` times.  Assigning slots copy by copy gives ``d!^k`` labelings, of
+    which each partition is counted ``prod M_S!`` times (blocks on the same
+    copy set are interchangeable), so M accounts for ``d!^k / prod M_S!``
+    partitions.
     """
     masks = sorted((s for s in range(1, 1 << k) if s.bit_count() in sizes), reverse=True)
     if not masks:
@@ -442,39 +438,34 @@ def _counted_types(
                 left[u] += mult
 
     rec(0)
-    return tuple(
-        (tk, tuple(sorted(m.bit_count() for m in tk)), c) for tk, c in sorted(agg.items())
-    )
+    return tuple(sorted(agg.items()))
 
 
 @lru_cache(maxsize=None)
 def grouped_types(
     d: int, sizes: frozenset[int], k: int, noncrossing: bool
-) -> tuple[tuple[TypeKey, tuple[int, ...], int], ...]:
+) -> tuple[tuple[TypeKey, int], ...]:
     """The partitions of ``[k*d]`` with the given block sizes that respect
-    the ``k``-interval pattern, grouped as
-    ``(incidence type, sorted block sizes, multiplicity)``.
+    the ``k``-interval pattern, grouped as ``(incidence type, multiplicity)``
+    in type order; ground sets beyond the cap raise ``GroundCapExceeded``.
 
     Classes without the non-crossing constraint are counted, not listed
     (their size grows factorially: 18,366,912 partitions at d=4 with block
     sizes {2, 3, 4}); non-crossing classes are enumerated explicitly.
     """
+    cap_check(k * d)
     if not noncrossing:
         return _counted_types(d, sizes, k)
     pattern = IntervalPattern(d, k)
     parts = enumerate_partitions(
         k * d, BlockProfile(sizes), respect=pattern, noncrossing=True
     )
-    agg: dict[tuple[TypeKey, tuple[int, ...]], int] = {}
-    for p in parts:
-        key = (incidence_type(p, k, d), p.block_sizes())
-        agg[key] = agg.get(key, 0) + 1
-    return tuple((tk, sk, c) for (tk, sk), c in sorted(agg.items()))
+    return tuple(sorted(Counter(incidence_type(p, k, d) for p in parts).items()))
 
 
 def partition_class_size(d: int, sizes: Iterable[int], k: int, noncrossing: bool) -> int:
     """Number of partitions in the class; ``sizes`` may be a cumulant map."""
-    return sum(c for _, _, c in grouped_types(d, frozenset(sizes), k, noncrossing))
+    return sum(c for _, c in grouped_types(d, frozenset(sizes), k, noncrossing))
 
 
 def cumulant_weight(cumulants: Mapping[int, Number], sizes: Iterable[int]) -> Number:
@@ -491,10 +482,12 @@ def _profile_types(
     d: int, sizes: frozenset[int], k: int, noncrossing: bool
 ) -> dict[tuple[int, ...], tuple[tuple[TypeKey, int], ...]]:
     """The class's ``(incidence type, multiplicity)`` pairs grouped by block-size
-    profile, the profiles in order of first appearance in ``grouped_types``."""
+    profile (the sorted popcounts of the type's masks), the profiles in order
+    of first appearance in ``grouped_types``."""
     groups: dict[tuple[int, ...], list[tuple[TypeKey, int]]] = {}
-    for tkey, sk, count in grouped_types(d, sizes, k, noncrossing):
-        groups.setdefault(sk, []).append((tkey, count))
+    for tkey, count in grouped_types(d, sizes, k, noncrossing):
+        profile = tuple(sorted(m.bit_count() for m in tkey))
+        groups.setdefault(profile, []).append((tkey, count))
     return {sk: tuple(types) for sk, types in groups.items()}
 
 

@@ -27,7 +27,7 @@ from .contract import (
 from .errors import AssumptionViolation, HomsumError
 from .kernels import Kernel, contraction_square_sum
 from .laws import FreeLaw
-from .partitions import cap_check, rho_partitions
+from .partitions import rho_partitions
 from .reports import MomentReport
 
 
@@ -56,7 +56,6 @@ def semicircular_moment(kernel: Kernel, order: int) -> MomentReport:
     positions that respect the ``k`` index groups."""
     if order < 1:
         raise HomsumError(f"moment order must be >= 1, got {order}")
-    cap_check(order * kernel.d)
     semicircle = {2: Fraction(1)}
     coeff, _ = weighted_sum(KernelContractor.of(kernel), order, semicircle, True)
     value = _with_scale(coeff, kernel, order)
@@ -169,7 +168,6 @@ def free_fourth_moment_oracle(kernel: Kernel, law: FreeLaw) -> MomentReport:
     d = kernel.d
     if d < 2:
         raise HomsumError("free oracle needs degree >= 2")
-    cap_check(4 * d)
     kappa = {2: law.kappa(2), 4: law.kappa(4)}
     pairs = {2: kappa[2]}
     contractor = KernelContractor.of(kernel)
@@ -209,7 +207,6 @@ def free_third_moment_oracle(kernel: Kernel, law: FreeLaw) -> MomentReport:
     partitions with blocks of sizes {2, 3}.  For even degree the class
     contains no 3-blocks, which is exactly why the third moment matches the
     semicircular one there."""
-    cap_check(3 * kernel.d)
     kappa = {2: law.kappa(2), 3: law.kappa(3)}
     coeff, by_sizes = weighted_sum(KernelContractor.of(kernel), 3, kappa, True)
     value = _with_scale(coeff, kernel, 3)

@@ -41,16 +41,17 @@ def _power_coefficient(
 
 def _transform(seq: Sequence[Number], noncrossing: bool, to_cumulants: bool) -> tuple[Number, ...]:
     """Moments to cumulants (``to_cumulants``) or back, order by order;
-    memoized on the sequence with each term's type (``3 == 3.0 ==
-    Fraction(3)``, but a float sequence gives float cumulants)."""
-    return _typed_transform(tuple((type(x), x) for x in seq), noncrossing, to_cumulants)
+    memoized on the sequence with each term's type and a float's bits
+    (``3 == 3.0 == Fraction(3)`` and ``-0.0 == 0.0``, but each keeps its own)."""
+    typed = tuple((type(x), x.hex() if isinstance(x, float) else None, x) for x in seq)
+    return _typed_transform(typed, noncrossing, to_cumulants)
 
 
 @lru_cache(maxsize=None)
 def _typed_transform(
-    typed: tuple[tuple[type, Number], ...], noncrossing: bool, to_cumulants: bool
+    typed: tuple[tuple[type, str | None, Number], ...], noncrossing: bool, to_cumulants: bool
 ) -> tuple[Number, ...]:
-    seq = [x for _, x in typed]
+    seq = [x for *_, x in typed]
     K = len(seq)
     if K < 1 or K > MAX_ORDER:
         what = "moment" if to_cumulants else "cumulant"

@@ -249,15 +249,25 @@ def estimate_moment(kernel: Kernel, spec: SamplerSpec, order: int) -> Estimate:
         raise HomsumError(f"estimated orders are 2, 3, 4; got {order}")
     rng = _generator(spec.seed)
     table = _table(spec)
-    vals = np.empty(spec.sample_count)
+    # each batch's mean and centered sum of squares merge into running ones
+    # (Chan, Golub and LeVeque); one batch gives numpy's mean and std bits
+    mean = m2 = 0.0
     for start in range(0, spec.sample_count, _BATCH):
         batch = min(_BATCH, spec.sample_count - start)
         code = _codes(rng, spec, (batch, kernel.n))
         q = _homogeneous_sum(kernel, batch, partial(_chunk, rng, spec, table, code, tail=(kernel.n,)))
-        v = vals[start : start + batch]
-        np.multiply(q, q, out=v)
+        v = q * q
         if order > 2:
             v *= v if order == 4 else q
-    mean = float(vals.mean())
-    stderr = float(vals.std(ddof=1) / math.sqrt(spec.sample_count)) if spec.sample_count > 1 else 0.0
-    return Estimate(mean=mean, stderr=stderr, sample_count=spec.sample_count, seed=spec.seed)
+        b_mean = v.mean()
+        v -= b_mean
+        b_m2 = np.square(v, out=v).sum()
+        if start:
+            delta = b_mean - mean
+            mean += delta * (batch / (start + batch))
+            m2 += b_m2 + delta * delta * (start * batch / (start + batch))
+        else:
+            mean, m2 = b_mean, b_m2
+    n = spec.sample_count
+    stderr = float(np.sqrt(m2 / (n - 1)) / math.sqrt(n)) if n > 1 else 0.0
+    return Estimate(mean=float(mean), stderr=stderr, sample_count=n, seed=spec.seed)

@@ -1,18 +1,19 @@
 """Set-partition engine: enumeration under block-size / interval / non-crossing
-constraints, plus blockwise generalized cumulant evaluation.
+constraints.
 
 Ground sets are ``[m] = {1, ..., m}`` (1-based).  Partitions are kept in a
 canonical form (blocks sorted by least element, elements ascending inside a
 block) so enumeration output is deterministic and directly comparable in
-golden tests.
+golden tests.  ``cap_check`` bounds the ground set where a partition class is
+built: here in ``enumerate_partitions``, and in ``contract.grouped_types``
+for the classes the moment engines contract.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable
 
 from .errors import GroundCapExceeded, HomsumError
 
@@ -158,13 +159,6 @@ def respects(p: Partition, pattern: IntervalPattern) -> bool:
     return True
 
 
-def _min_deficit(sizes: frozenset[int], cur: int) -> int | None:
-    """Fewest extra elements a block of size ``cur`` needs to reach an
-    allowed size; None if no allowed size is reachable."""
-    opts = [s - cur for s in sizes if s >= cur]
-    return min(opts) if opts else None
-
-
 @lru_cache(maxsize=None)
 def _enumerate_cached(
     m: int,
@@ -175,71 +169,55 @@ def _enumerate_cached(
     max_size = max(sizes)
     min_size = min(sizes)
     # fewest extra elements a block of each size needs to reach an allowed
-    # size; None marks dead ends
-    deficit = [_min_deficit(sizes, c) for c in range(max_size + 1)]
+    # size; a block grows only while below max_size, so each is defined
+    deficit = [min(s - c for s in sizes if s >= c) for c in range(max_size + 1)]
     out: list[Partition] = []
     blocks: list[list[int]] = []
-    closed: list[bool] = []
+    # per block, the arcs now enclosing it; an enclosed block is final
+    closed: list[int] = []
 
     def iv(x: int) -> int:
         return (x - 1) // interval_len  # type: ignore[operator]
 
     def rec(e: int) -> None:
-        if e > m:
-            if all(len(b) in sizes for b in blocks):
-                out.append(Partition(m, [tuple(b) for b in blocks]))
-            return
         # elements still to place, including e itself
         left = m - e + 1
         demand = 0
         for b in blocks:
-            need = deficit[len(b)]
-            if need is None:
-                return
-            demand += need
+            demand += deficit[len(b)]
         if demand > left:
+            return
+        if e > m:  # no demand left: every block has an allowed size
+            out.append(Partition(m, [tuple(b) for b in blocks]))
             return
         # option 1: extend an existing block
         for bi, b in enumerate(blocks):
             if closed[bi] or len(b) >= max_size:
                 continue
-            if deficit[len(b) + 1] is None:
-                continue
             if interval_len is not None and any(iv(x) == iv(e) for x in b):
                 continue
+            inside: list[int] = []
             if noncrossing:
+                # blocks with an element under the new arc lie wholly
+                # inside it: one straddling the arc would have closed b
                 lastb = b[-1]
-                inside: list[int] = []
-                bad = False
-                for cj, c in enumerate(blocks):
-                    if cj == bi:
-                        continue
-                    if any(lastb < x < e for x in c):
-                        if c[0] < lastb:
-                            bad = True  # c straddles the new arc: crossing
-                            break
-                        inside.append(cj)
-                if bad:
-                    continue
+                inside = [
+                    cj for cj, c in enumerate(blocks) if cj != bi and any(lastb < x < e for x in c)
+                ]
                 if any(len(blocks[cj]) not in sizes for cj in inside):
                     continue  # nested blocks can never grow again
-                saved = [closed[cj] for cj in inside]
-                for cj in inside:
-                    closed[cj] = True
-                b.append(e)
-                rec(e + 1)
-                b.pop()
-                for cj, s in zip(inside, saved):
-                    closed[cj] = s
-            else:
-                b.append(e)
-                rec(e + 1)
-                b.pop()
+            for cj in inside:
+                closed[cj] += 1
+            b.append(e)
+            rec(e + 1)
+            b.pop()
+            for cj in inside:
+                closed[cj] -= 1
         # option 2: open a new block (sound prune: every open block, including
         # the new one, must still be completable with the elements after e)
         if demand + min_size - 1 <= left - 1:
             blocks.append([e])
-            closed.append(False)
+            closed.append(0)
             rec(e + 1)
             blocks.pop()
             closed.pop()
@@ -274,37 +252,6 @@ def enumerate_partitions(
     return list(_enumerate_cached(m, profile.allowed_sizes, interval_len, noncrossing))
 
 
-def joint_cumulant_value(
-    p: Partition,
-    index_assignment: Mapping[int, int] | Sequence[int],
-    law,
-    regime: str,
-) -> Fraction | float:
-    """Generalized joint cumulant of ``(X_{i_1}, ..., X_{i_m})`` along ``p``
-    for (freely) independent identically distributed entries.
-
-    Each block contributes the order-``|b|`` cumulant of the law when all its
-    positions carry the same variable index, and kills the product otherwise.
-    ``regime`` selects classical cumulants ("classical") or free cumulants
-    ("free"); for free semantics the caller restricts to non-crossing ``p``.
-    """
-    if regime not in ("classical", "free"):
-        raise HomsumError(f"unknown regime {regime!r}")
-    if isinstance(index_assignment, Mapping):
-        idx = dict(index_assignment)
-    else:
-        idx = {pos + 1: v for pos, v in enumerate(index_assignment)}
-    value: Fraction | float = Fraction(1)
-    for b in p.blocks:
-        vals = {idx[x] for x in b}
-        if len(vals) != 1:
-            return Fraction(0)
-        order = len(b)
-        c = law.chi(order) if regime == "classical" else law.kappa(order)
-        value *= c
-    return value
-
-
 @lru_cache(maxsize=None)
 def _rho_cached(d: int) -> tuple[Partition, ...]:
     m = 4 * d
@@ -335,5 +282,4 @@ def rho_partitions(d: int) -> list[Partition]:
     """
     if d < 2:
         raise HomsumError("rho partitions need degree >= 2")
-    cap_check(4 * d)
     return list(_rho_cached(d))

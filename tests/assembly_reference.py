@@ -11,7 +11,8 @@ def weighted_sum_reference(contractor, k, cumulants, noncrossing):
     d = contractor.kernel.d
     total = Fraction(0)
     by_sizes = {}
-    for tkey, sk, count in grouped_types(d, frozenset(cumulants), k, noncrossing):
+    for tkey, count in grouped_types(d, frozenset(cumulants), k, noncrossing):
+        sk = tuple(sorted(m.bit_count() for m in tkey))
         w = cumulant_weight(cumulants, sk)
         if not w:
             continue

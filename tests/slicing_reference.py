@@ -21,7 +21,7 @@ from homsums import (
     random_admissible_kernel,
     slice_kernel,
 )
-from homsums.contract import dense_numerators
+from homsums.contract import TIER_TENSORS, dense_tier
 
 #: (star family size, sparse random (n, support size)) per degree: both fill
 #: less than 1/DENSE_SPARSITY of the n^d tensor, so they contract sparsely
@@ -70,9 +70,10 @@ def square_sum_by_gram(kernel: Kernel, s: int) -> Fraction | None:
     in int64 whichever dense tier the engines use; None when the kernel has
     no int64-safe dense tensor."""
     d, n = kernel.d, kernel.n
-    tensor = dense_numerators(kernel, 4, 2 * d)
-    if tensor is None:
+    tier = dense_tier(kernel, 4, 2 * d)
+    if tier is None:
         return None
+    tensor = kernel.derived(TIER_TENSORS[tier])
     den, _ = kernel.int_entries()
     m = tensor.astype(np.int64).reshape(n ** (d - s), n**s)
     gram = m.T @ m if s < d - s else m @ m.T

@@ -15,6 +15,7 @@ from homsums import (
     BlockProfile,
     ClassicalLaw,
     FreeLaw,
+    GroundCapExceeded,
     HomsumError,
     IntervalPattern,
     Kernel,
@@ -29,6 +30,7 @@ from homsums import (
     gaussian_fourth_moment,
     make_admissible,
     random_admissible_kernel,
+    semicircular_moment,
     slice_kernel,
 )
 from homsums import contract
@@ -63,12 +65,14 @@ def naive_partition_sum(kernel, p, k):
 
 def listed_types(d, sizes, k):
     """The interval-respecting class listed partition by partition and
-    grouped by canonical incidence type: the reference for the counter."""
+    grouped by canonical incidence type: the reference for the counter.
+    Each partition's block sizes are its type's popcounts."""
     agg = {}
     for p in enumerate_partitions(k * d, BlockProfile(sizes), respect=IntervalPattern(d, k)):
-        key = (incidence_type(p, k, d), p.block_sizes())
+        key = incidence_type(p, k, d)
+        assert p.block_sizes() == tuple(sorted(m.bit_count() for m in key)), p
         agg[key] = agg.get(key, 0) + 1
-    return tuple((tk, sk, c) for (tk, sk), c in sorted(agg.items()))
+    return tuple(sorted(agg.items()))
 
 
 @pytest.mark.parametrize("d,k", [(1, 4), (2, 4), (3, 4), (2, 2), (2, 3), (2, 6)])
@@ -165,12 +169,51 @@ def test_dense_contraction_equals_sparse(d):
     contractor = KernelContractor(kernel)
     checked = 0
     for (sizes, nc), k in itertools.product(DENSE_CLASSES, (2, 3, 4)):
-        for tkey, _, _ in grouped_types(d, frozenset(sizes), k, nc):
-            dense = contractor._contract_dense(tkey, k)
-            assert dense is not None
-            assert dense == contractor._contract_sparse(tkey, k)
+        for tkey, _ in grouped_types(d, frozenset(sizes), k, nc):
+            value, tier = contractor._contract_dense(tkey, k)
+            assert tier == dense_tier(kernel, k, len(tkey))
+            assert value == contractor._contract_sparse(tkey, k)
             checked += 1
     assert checked >= 10
+
+
+def test_type_with_no_pairwise_path_runs_sparse(monkeypatch):
+    """With DENSE_CAP at 216 = 6^3 the kernel's tensor still fits, but every
+    path of the type (3, 5, 6, 9, 10, 12) needs a larger intermediate, so
+    the planner finds no pairwise path and the sparse walk contracts it, to
+    the integer the float64 plan gives under the default cap."""
+    kernel = random_admissible_kernel(random.Random(0), 3, 6)
+    tkey, k = (3, 5, 6, 9, 10, 12), 4
+    contract._pairwise_plan.cache_clear()
+    want = run_plan(kernel.derived(contract.TIER_TENSORS["float64"]), tkey, k)
+    monkeypatch.setattr(contract, "DENSE_CAP", 216)
+    contract._pairwise_plan.cache_clear()
+    try:
+        contractor = KernelContractor(kernel)
+        assert dense_tier(kernel, k, len(tkey)) == "float64"
+        assert contractor.type_value(tkey, k) == want == 1_196_430
+        assert contractor.backend_types == {"sparse": 1}
+    finally:
+        contract._pairwise_plan.cache_clear()
+
+
+CAP_ENGINES = {  # name -> (degree, moment order, engine)
+    "closed form": (7, 4, lambda f: classical_fourth_moment_formula(f, ClassicalLaw.gaussian())),
+    "semicircular order 5": (5, 5, lambda f: semicircular_moment(f, 5)),
+    "free fourth oracle": (7, 4, lambda f: free_fourth_moment_oracle(f, FreeLaw.semicircle())),
+    "free third oracle": (9, 3, lambda f: free_third_moment_oracle(f, FreeLaw.semicircle())),
+}
+
+
+@pytest.mark.parametrize("name", list(CAP_ENGINES))
+def test_class_building_engines_refuse_beyond_the_cap(name):
+    """An engine whose class lies beyond GROUND_CAP raises where the class is
+    built, with the one cap message for its ground set."""
+    d, order, engine = CAP_ENGINES[name]
+    kernel = random_admissible_kernel(random.Random(d), d, d + 1)
+    with pytest.raises(GroundCapExceeded) as err:
+        engine(kernel)
+    assert str(err.value) == f"ground set [{order * d}] exceeds the cap 24"
 
 
 def uniform_kernel(n, d, value):
@@ -386,9 +429,8 @@ def three_copy_types(kernel):
 def test_zero_weight_profiles_contract_nothing(d):
     """Under a law with chi3 = 0 the oracle contracts no type with a 3-block,
     although its class has such types."""
-    assert any(
-        3 in sk for _, sk, _ in grouped_types(d, frozenset({2, 3, 4}), 4, False)
-    )
+    types = grouped_types(d, frozenset({2, 3, 4}), 4, False)
+    assert any(m.bit_count() == 3 for tkey, _ in types for m in tkey)
     kernel = random_admissible_kernel(random.Random(0), d, 7)
     law = ClassicalLaw.from_fourth_moment(Fraction(9, 2))
     assert law.chi(3) == 0
@@ -407,4 +449,5 @@ def test_free_third_moment_contracts_no_zero_weight_type(d):
     free_third_moment_oracle(kernel, law)
     assert three_copy_types(kernel) == []
     if d % 2:
-        assert any(3 in sk for _, sk, _ in grouped_types(d, frozenset({2, 3}), 3, True))
+        types = grouped_types(d, frozenset({2, 3}), 3, True)
+        assert any(m.bit_count() == 3 for tkey, _ in types for m in tkey)

@@ -28,7 +28,7 @@ from homsums import (
     slice_kernel,
 )
 import kernel_reference as ref
-from homsums.contract import KernelContractor, dense_numerators
+from homsums.contract import KernelContractor, dense_tier
 from slicing_reference import reference_kernels, square_sum_by_gram, square_sum_by_grouping
 
 
@@ -202,7 +202,7 @@ def test_dense_square_sum_equals_dict_grouping(d):
     d!-permutation dict grouping give the same exact value at every overlap
     size."""
     kernel = random_admissible_kernel(random.Random(d), d, 6)
-    assert dense_numerators(kernel, 4, 2 * d) is not None
+    assert dense_tier(kernel, 4, 2 * d) is not None
     for s in range(1, d):
         typed = contraction_square_sum(kernel, s)
         assert typed == square_sum_by_gram(kernel, s) == square_sum_by_grouping(kernel, s)
@@ -215,7 +215,7 @@ def test_square_sum_equals_references_on_every_backend(d):
     dense, sparse and float-mode kernels, and the Gram matrix where the
     kernel has an int64-safe dense tensor."""
     for name, kernel in reference_kernels(d).items():
-        gram_ok = dense_numerators(kernel, 4, 2 * d) is not None
+        gram_ok = dense_tier(kernel, 4, 2 * d) is not None
         assert gram_ok == (name == "dense"), name
         for s in range(1, d):
             typed = contraction_square_sum(kernel, s)
@@ -231,7 +231,7 @@ def test_dense_square_sum_at_the_int64_bound():
     top = isqrt(isqrt((2**63 - 1) // 81))
     for value, dense in ((top, True), (top + 1, False)):
         kernel = Kernel(3, 2, {t: value for t in itertools.combinations(range(1, 4), 2)})
-        assert (dense_numerators(kernel, 4, 4) is not None) == dense
+        assert (dense_tier(kernel, 4, 4) is not None) == dense
         assert contraction_square_sum(kernel, 1) == 18 * value**4
 
 

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from homsums import laws
 from homsums import (
     BlockProfile,
     ClassicalLaw,
@@ -161,6 +162,17 @@ def test_free_transform_equals_unmemoized_recursion_bit_for_bit(rng, to_cumulant
         got = transform(seq)
         want = free_transform_reference(seq, to_cumulants)
         assert [(type(x), repr(x)) for x in got] == [(type(x), repr(x)) for x in want], seq
+
+
+def test_transform_cache_keeps_signed_zeros_apart():
+    """``-0.0 == 0.0``, but a cached transform of one sequence is not
+    returned for the other: each gives its cold-cache value."""
+    laws._typed_transform.cache_clear()
+    cold = moments_to_free_cumulants((0.0, -0.0, 0.0))
+    laws._typed_transform.cache_clear()
+    moments_to_free_cumulants((0.0, 0.0, -0.0))
+    warm = moments_to_free_cumulants((0.0, -0.0, 0.0))
+    assert repr(warm) == repr(cold) == "(0.0, -0.0, 0.0)"
 
 
 def test_transform_length_cap():

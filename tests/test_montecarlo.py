@@ -1,5 +1,7 @@
 """Monte Carlo sampling: determinism, mixture weights, estimator accuracy."""
 
+import itertools
+import math
 import random
 import tracemalloc
 from fractions import Fraction
@@ -166,6 +168,47 @@ def test_estimate_moment_memory_is_bounded():
             finally:
                 tracemalloc.stop()
             assert peak < bound_mib * 2**20, (n, fields)
+
+
+def test_estimate_memory_does_not_grow_with_the_sample_count():
+    """Each batch's mean and centered sum of squares merge into running
+    totals, and no sample is kept: on the free-clt kernel of the benchmark
+    the peak stays under 8 MiB at 2^20 and at 2^22 samples (keeping every
+    sample peaked at 17 and 65 MiB)."""
+    kernel = family_kernel(KernelFamily("free-clt", 3), 4)
+    estimate_moment(kernel, SamplerSpec(law="rademacher", seed=1, sample_count=1), 4)  # builds the plan
+    for count in (1 << 20, 1 << 22):
+        spec = SamplerSpec(law="product-TX", base="rademacher", q=2, seed=1, sample_count=count)
+        tracemalloc.start()
+        try:
+            estimate_moment(kernel, spec, 4)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20, count
+
+
+def averaged_sums(monkeypatch, kernel, spec, order):
+    """The estimate and every ``Q(f; x)`` it averaged, in draw order."""
+    sums = []
+    real = montecarlo._homogeneous_sum
+    monkeypatch.setattr(montecarlo, "_homogeneous_sum", lambda *args: sums.append(real(*args)) or sums[-1])
+    est = estimate_moment(kernel, spec, order)
+    monkeypatch.setattr(montecarlo, "_homogeneous_sum", real)
+    return np.concatenate(sums), est
+
+
+@pytest.mark.parametrize("law", ["rademacher", "gaussian", "product-TX"])
+def test_one_batch_estimate_is_numpy_mean_and_std_bit_for_bit(law, monkeypatch):
+    """Up to one batch of samples, the running mean and sum of squares are
+    ``np.mean`` and ``np.std(ddof=1)`` of the powers of Q, bit for bit."""
+    kernel = family_kernel(KernelFamily("off-diagonal-pair", 2), 12)
+    for count, order in itertools.product((montecarlo._BATCH, 1000, 2), (2, 3, 4)):
+        spec = SamplerSpec(law=law, seed=count + order, sample_count=count, q=2, base="rademacher")
+        q, est = averaged_sums(monkeypatch, kernel, spec, order)
+        v = {2: q * q, 3: q * q * q, 4: (q * q) * (q * q)}[order]
+        assert repr(est.mean) == repr(float(np.mean(v))), (count, order)
+        assert repr(est.stderr) == repr(float(np.std(v, ddof=1) / math.sqrt(count))), (count, order)
 
 
 def test_row_chunking_moves_only_the_last_bits(monkeypatch):

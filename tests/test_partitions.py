@@ -1,7 +1,6 @@
 """Partition engine: counts, predicates, canonical order, rho structure."""
 
 import itertools
-from fractions import Fraction
 from math import comb
 
 import pytest
@@ -10,8 +9,6 @@ from hypothesis import strategies as st
 
 from homsums import (
     BlockProfile,
-    ClassicalLaw,
-    FreeLaw,
     GroundCapExceeded,
     HomsumError,
     IntervalPattern,
@@ -21,7 +18,6 @@ from homsums import (
     respects,
     rho_partitions,
 )
-from homsums.partitions import joint_cumulant_value
 
 PAIRS = BlockProfile({2})
 
@@ -148,18 +144,29 @@ def test_enumeration_is_canonical_and_deterministic():
 
 
 def test_constrained_enumeration_equals_post_filter():
-    pattern = IntervalPattern(2, 4)
-    profile = BlockProfile({2, 3, 4})
-    direct = enumerate_partitions(8, profile, respect=pattern, noncrossing=True)
-    filtered = sorted(
-        p
-        for p in enumerate_partitions(8, profile)
-        if respects(p, pattern) and is_noncrossing(p)
-    )
-    assert direct == filtered
-    direct_r = enumerate_partitions(8, profile, respect=pattern)
-    filtered_r = sorted(p for p in enumerate_partitions(8, profile) if respects(p, pattern))
-    assert direct_r == filtered_r
+    """The pruned enumerator equals the brute-force listing of every
+    partition (each element joins an earlier block or opens one, as in a
+    restricted growth string) filtered by block sizes, interval respect and
+    non-crossing: over every m <= 8, every size set within {1..4}, every
+    interval length dividing m (or none) and both non-crossing settings."""
+    size_sets = [set(c) for r in range(1, 5) for c in itertools.combinations(range(1, 5), r)]
+    checked = 0
+    for m in range(1, 9):
+        every = [Partition(m, blocks) for blocks in all_partitions_brute(m)]
+        lengths = [None] + [h for h in range(1, m + 1) if m % h == 0]
+        for sizes, length, nc in itertools.product(size_sets, lengths, (False, True)):
+            pattern = None if length is None else IntervalPattern(length, m // length)
+            want = sorted(
+                p
+                for p in every
+                if all(len(b) in sizes for b in p.blocks)
+                and (pattern is None or respects(p, pattern))
+                and (not nc or is_noncrossing(p))
+            )
+            got = enumerate_partitions(m, BlockProfile(sizes), pattern, noncrossing=nc)
+            assert got == want, (m, sizes, length, nc)
+            checked += 1
+    assert checked == 840
 
 
 def test_enumeration_errors():
@@ -185,36 +192,6 @@ def test_partition_validation():
 def test_partition_json_is_sorted():
     p = Partition(4, [(3, 4), (2, 1)])
     assert p.to_json() == [[1, 2], [3, 4]]
-
-
-def test_joint_cumulant_examples():
-    law = ClassicalLaw.gaussian()
-    p = Partition(4, [(1, 2), (3, 4)])
-    assert joint_cumulant_value(p, (5, 5, 7, 7), law, "classical") == 1
-    assert joint_cumulant_value(p, (5, 6, 7, 7), law, "classical") == 0
-    free_rad = FreeLaw.free_rademacher()
-    full = Partition(4, [(1, 2, 3, 4)])
-    assert joint_cumulant_value(full, (5, 5, 5, 5), free_rad, "free") == -1
-
-
-def test_joint_cumulant_is_multiplicative_over_blocks():
-    law = ClassicalLaw.from_fourth_moment(Fraction(9, 2))
-    p = Partition(6, [(1, 2), (3, 4, 5, 6)])
-    idx = {1: 2, 2: 2, 3: 9, 4: 9, 5: 9, 6: 9}
-    expected = law.chi(2) * law.chi(4)
-    assert joint_cumulant_value(p, idx, law, "classical") == expected
-    # relabeling the block values leaves it unchanged
-    idx2 = {1: 7, 2: 7, 3: 1, 4: 1, 5: 1, 6: 1}
-    assert joint_cumulant_value(p, idx2, law, "classical") == expected
-
-
-def test_joint_cumulant_missing_order():
-    law = ClassicalLaw((0, 1, 0, 1))
-    p = Partition(5, [(1, 2, 3, 4, 5)])
-    from homsums import MissingCumulant
-
-    with pytest.raises(MissingCumulant):
-        joint_cumulant_value(p, (1,) * 5, law, "classical")
 
 
 def test_rho_partitions_d2_exact():
