@@ -18,10 +18,11 @@ when the kernel values themselves are irrational.  Perfect-square ``scale2``
 factors are folded into the numerators and the denominator at construction.
 ``entries``, the ``Fraction`` view, is built on first read.
 
-The public constructor validates its input and takes any rational entries.
-Kernels the package derives from another kernel (families, transforms,
-slices) are built from numerators directly by ``Kernel._derive``, without
-re-validation; ``from_json`` validates the file it reads.
+The public constructor takes any rational entries and alone holds the rules
+on degree, range, mode and index tuples; ``from_json`` checks a file's shape
+and builds through it.  Kernels the package derives from another kernel
+(families, transforms, slices) are built from numerators directly by
+``Kernel._derive``, without re-validation.
 """
 
 from __future__ import annotations
@@ -80,19 +81,22 @@ class Kernel:
         if n < 0:
             raise HomsumError(f"kernel index range must be >= 0, got {n}")
         if mode not in ("exact", "float"):
-            raise HomsumError(f"kernel mode must be 'exact' or 'float', got {mode!r}")
+            raise KernelFormatError(f"kernel mode must be 'exact' or 'float', got {mode!r}")
         s2 = Fraction(scale2)
         if s2 <= 0:
             raise HomsumError("scale2 must be positive")
         clean: dict[tuple[int, ...], Fraction] = {}
-        for t, v in entries.items():
+        for pos, (t, v) in enumerate(entries.items()):
             t = tuple(int(i) for i in t)
             if len(t) != d:
-                raise KernelFormatError(f"index tuple {t} has length {len(t)}, expected {d}")
+                raise KernelFormatError(f"entry {pos}: index tuple {t} has length {len(t)}, expected {d}")
             if any(t[i] >= t[i + 1] for i in range(d - 1)):
-                raise KernelFormatError(f"index tuple {t} is not strictly increasing")
-            if t and (t[0] < 1 or t[-1] > n):
-                raise KernelFormatError(f"index tuple {t} out of range [1, {n}]")
+                raise KernelFormatError(
+                    f"entry {pos}: index tuple {t} is not strictly increasing "
+                    "(diagonal tuples are structurally zero)"
+                )
+            if t[0] < 1 or t[-1] > n:
+                raise KernelFormatError(f"entry {pos}: index tuple {t} out of range [1, {n}]")
             clean[t] = Fraction(v)
         self._store(n, d, *_common_denominator(clean), s2, mode)
 
@@ -139,11 +143,6 @@ class Kernel:
     @property
     def support_size(self) -> int:
         return len(self.nums)
-
-    @property
-    def is_exact_valued(self) -> bool:
-        """True when every kernel value is itself a rational number."""
-        return self.scale2 == 1
 
     def coeff(self, idx: Iterable[int]) -> Fraction:
         """Rational part of the kernel value at an arbitrary ordered tuple
@@ -220,14 +219,18 @@ class Kernel:
     # -- JSON interchange ----------------------------------------------------
 
     def to_json(self) -> dict:
-        """Spec interchange format.  Kernels whose values are irrational
-        (non-square ``scale2``) are exported in float mode."""
-        if self.mode == "exact" and self.is_exact_valued:
+        """Spec interchange format.  Exact mode writes each entry as
+        ``num``/``den`` and, when it is not 1, ``scale2`` as a rational, so
+        ``from_json`` gives back an equal kernel; float mode writes ``val``."""
+        if self.mode == "exact":
             ents = [
                 {"idx": list(t), "num": v.numerator, "den": v.denominator}
                 for t, v in self.entries.items()
             ]
-            return {"n": self.n, "d": self.d, "mode": "exact", "entries": ents}
+            data = {"n": self.n, "d": self.d, "mode": "exact", "entries": ents}
+            if self.scale2 != 1:
+                data["scale2"] = {"num": self.scale2.numerator, "den": self.scale2.denominator}
+            return data
         # num / den rounds the rational once, as float(Fraction) does
         root, den = math.sqrt(self.scale2), self.den
         ents = [{"idx": list(t), "val": v / den * root} for t, v in self.nums.items()]
@@ -235,47 +238,29 @@ class Kernel:
 
     @classmethod
     def from_json(cls, data: dict) -> "Kernel":
+        """Check the shape of a kernel file, then build through the
+        constructor, which holds the rules on degree, range, mode and index
+        tuples."""
         if not isinstance(data, dict):
             raise KernelFormatError("kernel JSON must be an object")
         for field in ("n", "d", "mode", "entries"):
             if field not in data:
                 raise KernelFormatError(f"kernel JSON missing field {field!r}")
-        n, d, mode = data["n"], data["d"], data["mode"]
+        n, d, mode, raw = data["n"], data["d"], data["mode"], data["entries"]
         if not isinstance(n, int) or not isinstance(d, int):
             raise KernelFormatError("fields 'n' and 'd' must be integers")
-        if d < 1:
-            raise HomsumError(f"kernel degree must be >= 1, got {d}")
-        if n < 0:
-            raise HomsumError(f"kernel index range must be >= 0, got {n}")
-        if mode not in ("exact", "float"):
-            raise KernelFormatError(f"mode must be 'exact' or 'float', got {mode!r}")
+        if not isinstance(raw, list):
+            raise KernelFormatError("field 'entries' must be a list")
         entries: dict[tuple[int, ...], Fraction] = {}
-        for pos, ent in enumerate(data["entries"]):
-            idx = ent.get("idx")
-            if not isinstance(idx, list) or len(idx) != d or not all(isinstance(i, int) for i in idx):
-                raise KernelFormatError(f"entry {pos}: 'idx' must be a list of {d} integers")
-            t = tuple(idx)
-            if any(t[i] >= t[i + 1] for i in range(d - 1)):
-                raise KernelFormatError(
-                    f"entry {pos}: idx {idx} rejected (must be strictly increasing; "
-                    "diagonal tuples are structurally zero)"
-                )
-            if t[0] < 1 or t[-1] > n:
-                raise KernelFormatError(f"entry {pos}: idx {idx} out of range [1, {n}]")
-            if t in entries:
+        for pos, ent in enumerate(raw):
+            idx = ent.get("idx") if isinstance(ent, dict) else None
+            if not isinstance(idx, list) or not all(isinstance(i, int) for i in idx):
+                raise KernelFormatError(f"entry {pos}: must be an object whose 'idx' is a list of integers")
+            if tuple(idx) in entries:
                 raise KernelFormatError(f"entry {pos}: duplicate idx {idx}")
-            if mode == "exact":
-                if "num" not in ent or "den" not in ent:
-                    raise KernelFormatError(f"entry {pos}: exact mode needs 'num' and 'den'")
-                num, den = ent["num"], ent["den"]
-                if not isinstance(num, int) or not isinstance(den, int) or den == 0:
-                    raise KernelFormatError(f"entry {pos}: bad rational {num}/{den}")
-                entries[t] = Fraction(num, den)
-            else:
-                if "val" not in ent or not isinstance(ent["val"], (int, float)):
-                    raise KernelFormatError(f"entry {pos}: float mode needs numeric 'val'")
-                entries[t] = Fraction(ent["val"])
-        return cls._derive(n, d, *_common_denominator(entries), 1, mode)
+            entries[tuple(idx)] = _file_value(ent, mode == "exact", f"entry {pos}")
+        scale2 = _file_value(data.get("scale2", {"num": 1, "den": 1}), True, "'scale2'")
+        return cls(n, d, entries, scale2, mode)
 
     def dump(self, path: str) -> None:
         with open(path, "w") as fh:
@@ -289,6 +274,18 @@ class Kernel:
             except json.JSONDecodeError as exc:
                 raise KernelFormatError(f"{path}: invalid JSON ({exc})") from exc
         return cls.from_json(data)
+
+
+def _file_value(obj, exact: bool, where: str) -> Fraction:
+    """A kernel file's value: ``{"num": p, "den": q}`` if exact, else ``{"val": x}``."""
+    get = obj.get if isinstance(obj, dict) else {}.get
+    num, den, val = get("num"), get("den"), get("val")
+    if exact and isinstance(num, int) and isinstance(den, int) and den:
+        return Fraction(num, den)
+    if not exact and isinstance(val, (int, float)) and math.isfinite(val):
+        return Fraction(val)
+    need = "integer 'num' and nonzero integer 'den'" if exact else "a finite numeric 'val'"
+    raise KernelFormatError(f"{where}: needs {need}")
 
 
 def _fraction_entries(kernel: Kernel) -> dict[tuple[int, ...], Fraction]:

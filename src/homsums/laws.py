@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from math import comb, isfinite
 from typing import Sequence
 
 from .errors import HomsumError, MissingCumulant
@@ -42,7 +42,10 @@ def _power_coefficient(
 def _transform(seq: Sequence[Number], noncrossing: bool, to_cumulants: bool) -> tuple[Number, ...]:
     """Moments to cumulants (``to_cumulants``) or back, order by order;
     memoized on the sequence with each term's type and a float's bits
-    (``3 == 3.0 == Fraction(3)`` and ``-0.0 == 0.0``, but each keeps its own)."""
+    (``3 == 3.0 == Fraction(3)`` and ``-0.0 == 0.0``, but each keeps its own).
+    A NaN or infinite term is rejected before the cache is read."""
+    if any(isinstance(x, float) and not isfinite(x) for x in seq):
+        raise HomsumError(f"moments and cumulants must be finite, got ({', '.join(map(str, seq))})")
     typed = tuple((type(x), x.hex() if isinstance(x, float) else None, x) for x in seq)
     return _typed_transform(typed, noncrossing, to_cumulants)
 
@@ -110,13 +113,12 @@ class _LawBase:
     _noncrossing: bool
     _label: str
 
-    def __init__(self, moments: Sequence, sampler: str | None = None):
+    def __init__(self, moments: Sequence):
         moms = tuple(_as_number(m) for m in moments)
         if len(moms) < 4:
             raise HomsumError(f"{self._label} needs moments at least up to order 4")
         self.moments = moms
         self.cumulants = _transform(moms, self._noncrossing, to_cumulants=True)
-        self.sampler = sampler
 
     @property
     def max_order(self) -> int:
@@ -163,11 +165,11 @@ class ClassicalLaw(_LawBase):
 
     @classmethod
     def gaussian(cls) -> "ClassicalLaw":
-        return cls((0, 1, 0, 3, 0, 15, 0, 105), sampler="gaussian")
+        return cls((0, 1, 0, 3, 0, 15, 0, 105))
 
     @classmethod
     def rademacher(cls) -> "ClassicalLaw":
-        return cls((0, 1, 0, 1, 0, 1, 0, 1), sampler="rademacher")
+        return cls((0, 1, 0, 1, 0, 1, 0, 1))
 
     @classmethod
     def from_fourth_moment(cls, m4, m3=0) -> "ClassicalLaw":

@@ -7,8 +7,9 @@ bottom of this file, which share no code with the engines.
 """
 
 import itertools
+import random
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial, prod
 
 import pytest
 
@@ -27,6 +28,7 @@ from homsums import (
     family_kernel,
     gaussian_fourth_moment,
     mixture_identity_check,
+    mixture_t_moment,
     random_admissible_kernel,
     rescaled_kernel,
 )
@@ -323,6 +325,31 @@ def test_mixture_identity_validation(rng):
         mixture_identity_check(k, law, [1, -1, 1])
     with pytest.raises(AssumptionViolation):
         mixture_identity_check(k, law, [1, 1])
+
+
+@pytest.mark.parametrize("d,n,q", [(2, 4, 1), (3, 4, 2), (3, 5, 1)])
+def test_mixture_route_equals_closed_form(d, n, q):
+    """The paper's mixture X = T*Y (Y Gaussian, T = sqrt(V_1...V_q), each V
+    two-point on {1 - alpha, 1 + alpha}) computed two ways: the closed form
+    under m4 = 3 E[T^4], and the probability-weighted Wick sums of the
+    reweighted kernel over every weight configuration.  The second route
+    uses only the pairing class, not the slice sums or the closed form's
+    coefficients.  At alpha = 24/25 the factors sqrt(V) are 1/5 and 7/5, so
+    every weight is rational and both routes are exact."""
+    alpha = Fraction(24, 25)
+    # T = (1/5)^j (7/5)^(q-j) when j of the q factors are 1 - alpha
+    weights = [
+        (Fraction(1, 5) ** j * Fraction(7, 5) ** (q - j), Fraction(comb(q, j), 2**q)) for j in range(q + 1)
+    ]
+    kernel = random_admissible_kernel(random.Random(d * 100 + n * 10 + q), d, n)
+    mixed = Fraction(0)
+    for config in itertools.product(weights, repeat=n):
+        resc = rescaled_kernel(kernel, [t for t, _ in config])
+        a, b = gaussian_fourth_moment(resc).value, classical_second_moment(resc)
+        assert a - 3 * b * b >= 0
+        mixed += prod(p for _, p in config) * a
+    law = ClassicalLaw.from_fourth_moment(3 * mixture_t_moment(q, alpha, 4))
+    assert mixed == classical_fourth_moment_formula(kernel, law).value
 
 
 def test_rescaled_kernel_matches_entrywise_product():

@@ -1,6 +1,7 @@
 """Command-line front end: subcommands, law parsing, formats, error paths."""
 
 import json
+import random
 import re
 import shlex
 import sys
@@ -9,7 +10,16 @@ from pathlib import Path
 
 import pytest
 
-from homsums import ClassicalLaw, FreeLaw, HomsumError, KernelFamily, family_kernel
+from homsums import (
+    ClassicalLaw,
+    FreeLaw,
+    HomsumError,
+    KernelFamily,
+    classical_fourth_moment_formula,
+    classical_fourth_moment_oracle,
+    family_kernel,
+    random_admissible_kernel,
+)
 from homsums.cli import build_parser, main, parse_law, parse_number
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -268,6 +278,35 @@ def test_moments_rejects_malformed_kernel(tmp_path, capsys):
     notjson.write_text("{oops")
     code, _, err = run(["moments", str(notjson), "--law", "gaussian"], capsys)
     assert code == 1 and "invalid JSON" in err
+
+
+@pytest.mark.parametrize("entries", [5, [[1, 2]]], ids=["entries-not-a-list", "entry-not-an-object"])
+def test_moments_rejects_malformed_kernel_shape(tmp_path, capsys, entries):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"n": 3, "d": 2, "mode": "exact", "entries": entries}))
+    code, out, err = run(["moments", str(bad), "--law", "gaussian"], capsys)
+    assert code == 1 and out == "" and err.startswith("error:")
+
+
+@pytest.mark.parametrize("m4", ["nan", "inf", "-inf"])
+def test_moments_rejects_non_finite_law(pair_file, capsys, m4):
+    code, out, err = run(["moments", pair_file, "--law", f"m4={m4}"], capsys)
+    assert code == 1 and out == "" and "finite" in err
+
+
+def test_moments_of_a_dumped_irrational_kernel_are_exact(tmp_path, capsys):
+    kernel = random_admissible_kernel(random.Random(0), 4, 7)
+    assert kernel.scale2 != 1
+    path = tmp_path / "random.json"
+    kernel.dump(str(path))
+    code, out, _ = run(["moments", str(path), "--law", "m4=9/2", "--orders", "4"], capsys)
+    assert code == 0
+    law = ClassicalLaw.from_fourth_moment(Fraction(9, 2))
+    want = {
+        "closed-form": str(classical_fourth_moment_formula(kernel, law).value),
+        "enumeration": str(classical_fourth_moment_oracle(kernel, law).value),
+    }
+    assert {r["method"]: r["value_exact"] for r in json.loads(out)["orders"]["4"]} == want
 
 
 def test_moments_reports_assumption_violation(pair_file, capsys):

@@ -3,7 +3,6 @@ families and the JSON interchange."""
 
 import itertools
 import json
-import math
 import random
 from fractions import Fraction
 from math import factorial, isqrt, lcm
@@ -13,12 +12,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from homsums import (
+    ClassicalLaw,
     HomsumError,
     Kernel,
     KernelFamily,
     KernelFormatError,
     NotNormalizable,
     check_admissible,
+    classical_fourth_moment_formula,
+    classical_fourth_moment_oracle,
     contraction_square_sum,
     family_kernel,
     influence,
@@ -100,6 +102,10 @@ def test_kernel_validation():
         Kernel(3, 2, {(1, 4): Fraction(1)})  # out of range
     with pytest.raises(HomsumError):
         Kernel(3, 0, {})
+    with pytest.raises(KernelFormatError, match="mode"):
+        Kernel(3, 2, {}, mode="triple")
+    with pytest.raises(KernelFormatError, match="entry 1: index tuple \\(1,\\) has length 1"):
+        Kernel(3, 2, {(1, 2): 1, (1,): 1})
 
 
 def test_value_lookup_uses_symmetric_extension():
@@ -362,13 +368,8 @@ def test_transforms_keep_entries_equal_fraction_reference():
         tripled = ref.scaled(*want, 3)
         assert_stores(make_admissible(kernel.scaled(3)), ref.normalized(*tripled, d))
         loaded = Kernel.from_json(json.loads(json.dumps(kernel.to_json())))
-        if kernel.scale2 == 1:
-            assert loaded == kernel
-            assert_stores(loaded, want)
-        else:
-            root = math.sqrt(want[1])
-            assert_stores(loaded, ref.stored({t: Fraction(float(v) * root) for t, v in want[0].items()}))
-            assert loaded.mode == "float"
+        assert loaded == kernel
+        assert_stores(loaded, want)
 
 
 def test_make_admissible_of_raw_values_equals_fraction_reference():
@@ -392,20 +393,54 @@ def test_json_round_trip_exact(tmp_path):
     loaded = Kernel.load(str(path))
     assert loaded == k
     data = json.loads(path.read_text())
+    assert list(data) == ["n", "d", "mode", "entries"]  # no "scale2" when it is 1
     assert data["mode"] == "exact"
     assert data["entries"] == [{"idx": [1, 2], "num": 1, "den": 2}]
 
 
-def test_json_export_of_irrational_scale_goes_float(tmp_path):
+def test_json_export_of_irrational_scale_stays_exact(tmp_path):
     k = family_kernel(KernelFamily("star", 2), 3)
     data = k.to_json()
-    assert data["mode"] == "float"
-    assert data["entries"][0]["val"] == pytest.approx(0.5 / 2**0.5)
+    assert data["mode"] == "exact"
+    assert data["entries"][0] == {"idx": [1, 2], "num": 1, "den": 2}
+    assert list(data)[-1] == "scale2" and data["scale2"] == {"num": 1, "den": 2}
     path = tmp_path / "star.json"
     k.dump(str(path))
-    loaded = Kernel.load(str(path))
-    assert loaded.mode == "float"
-    assert float(loaded.value((1, 2))) == pytest.approx(float(k.value((1, 2))))
+    assert Kernel.load(str(path)) == k
+    # a float-mode kernel still exports its rounded values
+    floats = make_admissible({(1, 2): 0.5, (2, 3): 1.5}, 3, 2)
+    data = floats.to_json()
+    assert data["mode"] == "float" and "scale2" not in data
+    assert data["entries"][0]["val"] == pytest.approx(float(floats.value((1, 2))))
+
+
+def round_trip_cases():
+    rng = random.Random(41)
+    bases = [family_kernel(KernelFamily(f, d), n) for f, d, n in FAMILY_CASES]
+    bases += [random_admissible_kernel(random.Random(seed), d, d + 2) for seed in range(3) for d in range(2, 6)]
+    for kernel in bases:
+        perm = list(range(1, kernel.n + 1))
+        rng.shuffle(perm)
+        yield from (kernel, kernel.scaled(Fraction(-2, 3)), kernel.relabel(dict(zip(range(1, kernel.n + 1), perm))))
+        yield make_admissible(kernel.scaled(5))
+
+
+def test_json_round_trip_is_exact_for_families_and_random_kernels():
+    kernels = list(round_trip_cases())
+    assert sum(k.scale2 != 1 for k in kernels) > len(kernels) // 3
+    for kernel in kernels:
+        assert Kernel.from_json(json.loads(json.dumps(kernel.to_json()))) == kernel
+
+
+def test_reloaded_kernel_runs_on_the_same_tiers():
+    kernel = random_admissible_kernel(random.Random(0), 4, 7)
+    loaded = Kernel.from_json(json.loads(json.dumps(kernel.to_json())))
+    law = ClassicalLaw.from_fourth_moment(Fraction(9, 2))
+    for k in (kernel, loaded):
+        assert classical_fourth_moment_formula(k, law).value == classical_fourth_moment_oracle(k, law).value
+    assert classical_fourth_moment_formula(loaded, law).value == classical_fourth_moment_formula(kernel, law).value
+    tiers = [KernelContractor.of(k).backend_types for k in (kernel, loaded)]
+    assert tiers[0] == tiers[1] == {"float64": 11}
 
 
 @pytest.mark.parametrize(
@@ -417,11 +452,38 @@ def test_json_export_of_irrational_scale_goes_float(tmp_path):
         {"idx": [1], "num": 1, "den": 2},
         {"idx": [1, 2], "num": 1, "den": 0},
         {"idx": [1, 2]},
+        {"idx": [1, 2], "num": 1.5, "den": 2},
+        {"idx": [1, 2], "val": 0.5},
+        {"idx": [1, "2"], "num": 1, "den": 2},
+        [1, 2],
     ],
 )
 def test_json_rejects_bad_entries(entry):
     data = {"n": 3, "d": 2, "mode": "exact", "entries": [entry]}
-    with pytest.raises(KernelFormatError):
+    with pytest.raises(KernelFormatError, match="entry 0"):
+        Kernel.from_json(data)
+
+
+@pytest.mark.parametrize("val", [float("nan"), float("inf"), "1/2", None])
+def test_json_rejects_bad_float_values(val):
+    data = {"n": 3, "d": 2, "mode": "float", "entries": [{"idx": [1, 2], "val": val}]}
+    with pytest.raises(KernelFormatError, match="entry 0"):
+        Kernel.from_json(data)
+
+
+@pytest.mark.parametrize(
+    "scale2,error",
+    [
+        ({"num": 1, "den": 0}, KernelFormatError),
+        ({"num": 1}, KernelFormatError),
+        (0.5, KernelFormatError),
+        ({"num": -1, "den": 2}, HomsumError),
+        ({"num": 0, "den": 2}, HomsumError),
+    ],
+)
+def test_json_rejects_bad_scale2(scale2, error):
+    data = {"n": 3, "d": 2, "mode": "exact", "entries": [{"idx": [1, 2], "num": 1, "den": 2}], "scale2": scale2}
+    with pytest.raises(error, match="scale2"):
         Kernel.from_json(data)
 
 
@@ -432,6 +494,12 @@ def test_json_rejects_bad_headers():
         Kernel.from_json({"n": 3, "d": 2, "mode": "triple", "entries": []})
     with pytest.raises(KernelFormatError):
         Kernel.from_json([1, 2, 3])
+    with pytest.raises(KernelFormatError, match="'entries' must be a list"):
+        Kernel.from_json({"n": 3, "d": 2, "mode": "exact", "entries": 5})
+    with pytest.raises(KernelFormatError, match="integers"):
+        Kernel.from_json({"n": 3.0, "d": 2, "mode": "exact", "entries": []})
+    with pytest.raises(HomsumError, match="degree"):
+        Kernel.from_json({"n": 3, "d": 0, "mode": "exact", "entries": []})
 
 
 def test_json_rejects_duplicate_idx():

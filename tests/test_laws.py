@@ -178,3 +178,14 @@ def test_transform_cache_keeps_signed_zeros_apart():
 def test_transform_length_cap():
     with pytest.raises(HomsumError):
         moments_to_cumulants_classical((0,) * 9)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_terms_are_rejected_before_the_cache(bad):
+    laws._typed_transform.cache_clear()
+    for make in (ClassicalLaw.from_fourth_moment, FreeLaw.from_fourth_moment):
+        with pytest.raises(HomsumError, match="finite"):
+            make(bad)
+    with pytest.raises(HomsumError, match="finite"):
+        moments_to_free_cumulants((0.0, 1.0, bad))
+    assert laws._typed_transform.cache_info().currsize == 0
