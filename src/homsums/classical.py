@@ -68,28 +68,21 @@ def _slice_fourth_sums(kernel: Kernel) -> tuple[Fraction, ...]:
     key stays canonical); ``m = d`` is the type ``15^d``."""
     contractor = KernelContractor.of(kernel)
     d = kernel.d
-    sums = []
-    for m in range(1, d + 1):
-        total = sum(
-            count * contractor.type_value(tkey + (15,) * m, 4)
-            for tkey, count in grouped_types(d - m, frozenset({2}), 4, False)
-        )
-        sums.append(contractor.from_int(total, 4))
-    return tuple(sums)
+    return tuple(
+        contractor.exact([(t + (15,) * m, c) for t, c in grouped_types(d - m, frozenset({2}), 4, False)], 4)
+        for m in range(1, d + 1)
+    )
 
 
-def classical_fourth_moment_formula(
-    kernel: Kernel, law: ClassicalLaw, check_assumptions: bool = True
-) -> MomentReport:
+def classical_fourth_moment_formula(kernel: Kernel, law: ClassicalLaw) -> MomentReport:
     """``E[Q_X(f)^4]`` by the nested-cumulant closed form: the Gaussian Wick
     term plus fourth-cumulant corrections from lower-order slice moments."""
-    if check_assumptions:
-        violations = law.assumption_a_violations()
-        if violations:
-            raise AssumptionViolation(
-                "closed form needs a centered, unit-variance law with zero third "
-                "moment; violated: " + "; ".join(violations)
-            )
+    violations = law.assumption_a_violations()
+    if violations:
+        raise AssumptionViolation(
+            "closed form needs a centered, unit-variance law with zero third "
+            "moment; violated: " + "; ".join(violations)
+        )
     d = kernel.d
     chi4 = law.chi(4)
     base = kernel.derived(_wick_sum)

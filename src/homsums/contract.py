@@ -13,9 +13,12 @@ copies each block touches, so partitions are grouped by that incidence type
 once.  A block's size is the number of copies it touches, so a type fixes its
 block sizes; ``grouped_types`` builds a class as ``(type, count)`` pairs after
 the one ``cap_check`` of its ground set.  Contractions run over the kernel's
-stored integer numerators on their common denominator, with the denominator
-and the kernel's squared scale factored back in at the end (one factor per
-kernel and ``k``), so results are exact rationals.
+stored integer numerators on their common denominator.  The engines read
+exact values through one exit, ``KernelContractor.exact`` (with
+``exact_marginal`` for a type's full block left open): it sums
+``count * contraction`` over ``(type, count)`` pairs in integers and only
+then divides the denominator back out and applies the kernel's squared
+scale, so results are exact rationals and no other module sees the integers.
 
 ``KernelContractor.type_value`` contracts a type by one of three tiers,
 chosen from the kernel and the type alone.  All read each copy's blocks
@@ -51,10 +54,10 @@ contractor counts the distinct types each tier contracted in
 
 Exact assembly runs once per block-size profile, not once per type and law:
 ``profile_sum`` memoizes, per ``(k, sizes, noncrossing, profile)``, the
-rescaled ``sum of count * contraction`` over the class's types with that
-profile, and ``weighted_sum`` multiplies each nonzero-weight profile by its
-cumulant weight, computed once per cumulant map and class
-(``_profile_weights``).  A zero-weight profile contracts no type.
+``exact`` sum over the class's types with that profile, and ``weighted_sum``
+multiplies each nonzero-weight profile by its cumulant weight, computed once
+per cumulant map and class (``_profile_weights``).  A zero-weight profile
+contracts no type.
 
 ``type_marginal`` leaves a type's one full block (all ``k`` copies) unsummed,
 one integer per index: the plan's output on the dense backend, a block live
@@ -113,7 +116,6 @@ def canonical_type(masks: Sequence[int], k: int) -> TypeKey:
     return min(tuple(sorted(table[m] for m in masks)) for table in _mask_tables(k))
 
 
-@lru_cache(maxsize=None)
 def incidence_type(p: Partition, k: int, d: int) -> TypeKey:
     """Canonical incidence type of a partition of ``[k*d]``: the copy sets
     of its blocks as bitmasks, through ``canonical_type``."""
@@ -256,7 +258,6 @@ class KernelContractor:
     def __init__(self, kernel: Kernel):
         self.kernel = kernel
         self.den, self.ints = kernel.int_entries()
-        self._factors: dict[int, Fraction] = {}
         self._patterns: dict[int, dict[tuple[int, ...], list]] = {}
         self._type_memo: dict[tuple[int, TypeKey, int | None], int | tuple[int, ...]] = {}
         self._profile_memo: dict[tuple[int, frozenset[int], bool, tuple[int, ...]], Fraction] = {}
@@ -362,35 +363,39 @@ class KernelContractor:
             raise HomsumError(f"type {tkey} needs exactly one full block, has {len(full)}")
         return self._contract(tkey, k, full[0])
 
+    def _scale(self, k: int) -> Fraction:
+        """The common denominator divided back out of ``k`` copies and the
+        squared scale applied (odd ``k`` callers handle the leftover root)."""
+        return self.kernel.scale2 ** (k // 2) / self.den**k
+
+    def exact(self, types: Iterable[tuple[TypeKey, int]], k: int) -> Fraction:
+        """Exact ``sum of count * contraction`` over ``(type, count)`` pairs,
+        summed in integers and rescaled once."""
+        return sum(count * self.type_value(tkey, k) for tkey, count in types) * self._scale(k)
+
+    def exact_marginal(self, types: Iterable[tuple[TypeKey, int]], k: int) -> dict[int, Fraction]:
+        """``exact`` per index: each type's one full block left unsummed
+        (``type_marginal``), as ``{index: value}`` over the indices in
+        ``[n]`` where the sum is nonzero."""
+        per_index = [0] * self.kernel.n
+        for tkey, count in types:
+            per_index = [acc + count * v for acc, v in zip(per_index, self.type_marginal(tkey, k))]
+        scale = self._scale(k)
+        return {i: v * scale for i, v in enumerate(per_index, 1) if v}
+
     def profile_sum(
         self, k: int, sizes: frozenset[int], noncrossing: bool, profile: tuple[int, ...]
     ) -> Fraction:
-        """Memoized exact sum of ``count * contraction`` over the types of the
-        class ``grouped_types(d, sizes, k, noncrossing)`` whose sorted block
-        sizes are ``profile``: the class's law-independent part for every
-        cumulant map with these keys."""
+        """Memoized ``exact`` sum over the types of the class
+        ``grouped_types(d, sizes, k, noncrossing)`` whose sorted block sizes
+        are ``profile``: the class's law-independent part for every cumulant
+        map with these keys."""
         key = (k, sizes, noncrossing, profile)
         val = self._profile_memo.get(key)
         if val is None:
             types = _profile_types(self.kernel.d, sizes, k, noncrossing)[profile]
-            total = sum(count * self.type_value(tkey, k) for tkey, count in types)
-            val = self._profile_memo[key] = self.from_int(total, k)
+            val = self._profile_memo[key] = self.exact(types, k)
         return val
-
-    def partition_value(self, p: Partition, k: int) -> Fraction:
-        """Exact assignment sum for one explicit partition of ``[k*d]``."""
-        tkey = incidence_type(p, k, self.kernel.d)
-        return self.from_int(self.type_value(tkey, k), k)
-
-    def from_int(self, total: int, k: int) -> Fraction:
-        """Rescale an integer contraction: divide the common denominator back
-        out and apply the kernel's squared scale, one factor computed once
-        per ``k`` (``k`` must be even for the result to be the actual moment
-        contribution; odd ``k`` callers handle the leftover square root)."""
-        factor = self._factors.get(k)
-        if factor is None:
-            factor = self._factors[k] = self.kernel.scale2 ** (k // 2) / self.den**k
-        return total * factor
 
 
 def _counted_types(

@@ -17,13 +17,7 @@ import math
 from fractions import Fraction
 from math import factorial
 
-from .contract import (
-    KernelContractor,
-    canonical_type,
-    cumulant_weight,
-    partition_class_size,
-    weighted_sum,
-)
+from .contract import KernelContractor, canonical_type, partition_class_size, weighted_sum
 from .errors import AssumptionViolation, HomsumError
 from .kernels import Kernel, contraction_square_sum
 from .laws import FreeLaw
@@ -105,16 +99,14 @@ def _free_components(kernel: Kernel) -> tuple[Fraction, dict[int, Fraction]]:
     ``{3^s, 12^s, 5^(e-s), 10^(e-s)}`` (``e = d - 1``; ``s = 0`` and ``s = e``
     are both the pairing term), each with the slice index as one more block,
     of mask 15, left unsummed."""
-    contractor = KernelContractor.of(kernel)
     e = kernel.d - 1
-    per_index = [0] * kernel.n
-    for s in range(e + 1):
-        masks = (3,) * s + (12,) * s + (5,) * (e - s) + (10,) * (e - s) + (15,)
-        marginal = contractor.type_marginal(canonical_type(masks, 4), 4)
-        per_index = [acc + v for acc, v in zip(per_index, marginal)]
+    types = [
+        (canonical_type((3,) * s + (12,) * s + (5,) * (e - s) + (10,) * (e - s) + (15,), 4), 1)
+        for s in range(e + 1)
+    ]
     # a slice's value is at least 2 (sum f(k,.)^2)^2, so it is nonzero
     # exactly on the support
-    per_k = {k: contractor.from_int(v, 4) for k, v in enumerate(per_index, 1) if v}
+    per_k = KernelContractor.of(kernel).exact_marginal(types, 4)
     return semicircular_fourth_moment_contraction(kernel).value, per_k
 
 
@@ -155,9 +147,10 @@ def free_fourth_moment_oracle(kernel: Kernel, law: FreeLaw) -> MomentReport:
     of the 4d positions respecting the four groups with block sizes {2, 4},
     weight by blockwise free cumulants, and contract.
 
-    Also re-derives the structural decomposition: the class splits into pure
-    pairings plus the ``d`` single-four-block partitions, whose contribution
-    must equal ``kappa_4`` times the slice fourth-moment sum.
+    Also re-derives the structural decomposition from the class's block-size
+    profiles: only the pure pairings and the ``d`` single-four-block
+    partitions may appear, and the latter's contribution must equal
+    ``kappa_4`` times the slice fourth-moment sum.
     """
     violations = law.assumption_b_violations()
     if violations:
@@ -169,26 +162,23 @@ def free_fourth_moment_oracle(kernel: Kernel, law: FreeLaw) -> MomentReport:
     if d < 2:
         raise HomsumError("free oracle needs degree >= 2")
     kappa = {2: law.kappa(2), 4: law.kappa(4)}
-    pairs = {2: kappa[2]}
-    contractor = KernelContractor.of(kernel)
-    value, by_sizes = weighted_sum(contractor, 4, kappa, True)
-    pairing_part, _ = weighted_sum(contractor, 4, pairs, True)
-    rho_part = Fraction(0)
-    for rho in rho_partitions(d):
-        w = cumulant_weight(kappa, rho.block_sizes())
-        rho_part += w * contractor.partition_value(rho, 4)
-    if pairing_part + rho_part != value:
-        raise HomsumError("pairs + rho decomposition failed to re-sum (bug)")
+    value, by_sizes = weighted_sum(KernelContractor.of(kernel), 4, kappa, True)
+    pairing, rho = (2,) * (2 * d), (2,) * (2 * d - 2) + (4,)
+    if set(by_sizes) - {pairing, rho}:
+        raise HomsumError(f"non-crossing {{2, 4}} class on [{4 * d}] has profiles {sorted(by_sizes)} (bug)")
+    # a zero-weight profile is skipped; 0 * kappa_4 keeps the law's number type
+    pairing_part, rho_part = (by_sizes.get(sk, 0 * kappa[4]) for sk in (pairing, rho))
     expected_rho = kappa[4] * slice_fourth_sum(kernel) * kappa[2] ** (2 * d - 2)
     if rho_part != expected_rho:
         raise HomsumError(
             "rho-partition contribution disagrees with the slice fourth-moment sum"
         )
-    n_pairings = partition_class_size(d, pairs, 4, True)
+    n_partitions = partition_class_size(d, kappa, 4, True)
+    rho_count = len(rho_partitions(d))  # asserts the class is pairings plus rhos
     detail = {
-        "partitions": partition_class_size(d, kappa, 4, True),
-        "pairings": n_pairings,
-        "rho_count": d,
+        "partitions": n_partitions,
+        "pairings": n_partitions - rho_count,
+        "rho_count": rho_count,
         "pairing_part": pairing_part,
         "rho_part": rho_part,
         "by_block_sizes": {" +".join(map(str, k)): v for k, v in sorted(by_sizes.items())},
@@ -227,7 +217,10 @@ def free_third_moment_oracle(kernel: Kernel, law: FreeLaw) -> MomentReport:
 def free_difference_identity(kernel: Kernel, law_a: FreeLaw, law_b: FreeLaw) -> dict:
     """Check the two-law difference identity: the gap between the scaled
     fourth cumulants of the two sums equals the gap between the laws' fourth
-    moments times the scaled slice fourth-moment sum."""
+    moments times the scaled slice fourth-moment sum.  This only restates the
+    closed form's shape: both sides read the closed form, and a centered
+    unit-variance free law has ``m4 = kappa4 + 2``, so ``lhs - rhs = 0`` for
+    any slice sum; only the oracle can catch a closed-form bug."""
     d = kernel.d
     dfact2 = factorial(d) ** 2
     second = free_second_moment(kernel)

@@ -247,14 +247,14 @@ class Kernel:
             if field not in data:
                 raise KernelFormatError(f"kernel JSON missing field {field!r}")
         n, d, mode, raw = data["n"], data["d"], data["mode"], data["entries"]
-        if not isinstance(n, int) or not isinstance(d, int):
+        if not _is_int(n) or not _is_int(d):
             raise KernelFormatError("fields 'n' and 'd' must be integers")
         if not isinstance(raw, list):
             raise KernelFormatError("field 'entries' must be a list")
         entries: dict[tuple[int, ...], Fraction] = {}
         for pos, ent in enumerate(raw):
             idx = ent.get("idx") if isinstance(ent, dict) else None
-            if not isinstance(idx, list) or not all(isinstance(i, int) for i in idx):
+            if not isinstance(idx, list) or not all(map(_is_int, idx)):
                 raise KernelFormatError(f"entry {pos}: must be an object whose 'idx' is a list of integers")
             if tuple(idx) in entries:
                 raise KernelFormatError(f"entry {pos}: duplicate idx {idx}")
@@ -276,13 +276,18 @@ class Kernel:
         return cls.from_json(data)
 
 
+def _is_int(x) -> bool:
+    """A JSON integer: an int that is not a bool (``bool`` subclasses ``int``)."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _file_value(obj, exact: bool, where: str) -> Fraction:
     """A kernel file's value: ``{"num": p, "den": q}`` if exact, else ``{"val": x}``."""
     get = obj.get if isinstance(obj, dict) else {}.get
     num, den, val = get("num"), get("den"), get("val")
-    if exact and isinstance(num, int) and isinstance(den, int) and den:
+    if exact and _is_int(num) and _is_int(den) and den:
         return Fraction(num, den)
-    if not exact and isinstance(val, (int, float)) and math.isfinite(val):
+    if not exact and (_is_int(val) or isinstance(val, float)) and math.isfinite(val):
         return Fraction(val)
     need = "integer 'num' and nonzero integer 'den'" if exact else "a finite numeric 'val'"
     raise KernelFormatError(f"{where}: needs {need}")
@@ -408,8 +413,7 @@ def contraction_square_sum(kernel: Kernel, s: int) -> Fraction:
     if s < 1 or s > d - 1:
         raise HomsumError(f"overlap size must satisfy 1 <= s <= d-1, got s={s}, d={d}")
     tkey = canonical_type((3,) * s + (12,) * s + (5,) * (d - s) + (10,) * (d - s), 4)
-    contractor = KernelContractor.of(kernel)
-    return contractor.from_int(contractor.type_value(tkey, 4), 4)
+    return KernelContractor.of(kernel).exact([(tkey, 1)], 4)
 
 
 # -- kernel families ---------------------------------------------------------

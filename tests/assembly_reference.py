@@ -16,7 +16,7 @@ def weighted_sum_reference(contractor, k, cumulants, noncrossing):
         w = cumulant_weight(cumulants, sk)
         if not w:
             continue
-        contrib = w * count * contractor.from_int(contractor.type_value(tkey, k), k)
+        contrib = w * contractor.exact([(tkey, count)], k)
         total += contrib
         by_sizes[sk] = by_sizes.get(sk, Fraction(0)) + contrib
     return total, by_sizes

@@ -280,10 +280,18 @@ def test_moments_rejects_malformed_kernel(tmp_path, capsys):
     assert code == 1 and "invalid JSON" in err
 
 
-@pytest.mark.parametrize("entries", [5, [[1, 2]]], ids=["entries-not-a-list", "entry-not-an-object"])
-def test_moments_rejects_malformed_kernel_shape(tmp_path, capsys, entries):
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"n": 3, "d": 2, "mode": "exact", "entries": 5},
+        {"n": 3, "d": 2, "mode": "exact", "entries": [[1, 2]]},
+        {"n": True, "d": 1, "mode": "exact", "entries": [{"idx": [True], "num": True, "den": True}]},
+    ],
+    ids=["entries-not-a-list", "entry-not-an-object", "json-booleans"],
+)
+def test_moments_rejects_malformed_kernel_shape(tmp_path, capsys, doc):
     bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps({"n": 3, "d": 2, "mode": "exact", "entries": entries}))
+    bad.write_text(json.dumps(doc))
     code, out, err = run(["moments", str(bad), "--law", "gaussian"], capsys)
     assert code == 1 and out == "" and err.startswith("error:")
 

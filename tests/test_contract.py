@@ -44,11 +44,14 @@ from homsums.contract import (
 )
 
 
-def naive_partition_sum(kernel, p, k):
-    """Assignment sum over a partition of [k*d], one nested loop at a time."""
+def naive_partition_sum(kernel, p, k, by_full_block=False):
+    """Assignment sum over a partition of [k*d], one nested loop at a time;
+    with ``by_full_block``, the sums per index of the partition's one block
+    of size ``k``, as ``{index: value}`` where nonzero."""
     d = kernel.d
     blocks = p.blocks
-    total = Fraction(0)
+    full = [len(b) for b in blocks].index(k) if by_full_block else None
+    totals = {}
     for assign in itertools.product(range(1, kernel.n + 1), repeat=len(blocks)):
         value_of = {}
         for b, v in zip(blocks, assign):
@@ -59,8 +62,12 @@ def naive_partition_sum(kernel, p, k):
             term *= kernel.coeff(tuple(value_of[u * d + j + 1] for j in range(d)))
             if not term:
                 break
-        total += term
-    return total * kernel.scale2 ** (k // 2)
+        key = None if full is None else assign[full]
+        totals[key] = totals.get(key, Fraction(0)) + term
+    scale = kernel.scale2 ** (k // 2)
+    if not by_full_block:
+        return totals[None] * scale
+    return {i: v * scale for i, v in sorted(totals.items()) if v}
 
 
 def listed_types(d, sizes, k):
@@ -103,12 +110,14 @@ def test_pairing_class_empty_for_odd_ground():
     assert grouped_types(1, frozenset({2}), 3, False) == ()
 
 
-def test_partition_value_matches_naive_sum(rng):
+def test_exact_matches_naive_sum(rng):
     """On a random, a ``star`` and a float-mode kernel of degree 2 and a
-    random one of degree 3, both backends equal the naive assignment sum
-    partition by partition: the default contractor (dense where the kernel
-    allows it) and one whose dense backend is off.  The sparse walk builds
-    at most d + 1 pattern indexes, one per live-block count."""
+    random one of degree 3, both exact exits of both backends equal the
+    naive assignment sum partition by partition: ``exact`` on every
+    partition, ``exact_marginal`` per index on those with one 4-block.  The
+    default contractor runs dense where the kernel allows it, the other has
+    its dense backend off; the sparse walk builds at most d + 1 pattern
+    indexes, one per live-block count."""
     k4 = 4
     raw = {t: rng.uniform(-1, 1) for t in itertools.combinations(range(1, 4), 2)}
     kernels = [
@@ -123,10 +132,16 @@ def test_partition_value_matches_naive_sum(rng):
         sparse._contract_dense = lambda *args: None
         pattern = IntervalPattern(d, 4)
         parts = enumerate_partitions(4 * d, BlockProfile({2, 4}), respect=pattern)
+        marginals = 0
         for p in parts[:: len(parts) // 6]:  # a spread of shapes, crossing ones included
+            types = [(incidence_type(p, k4, d), 1)]
             want = naive_partition_sum(kernel, p, k4)
-            assert default.partition_value(p, k4) == want, (kernel, p)
-            assert sparse.partition_value(p, k4) == want, (kernel, p)
+            assert default.exact(types, k4) == want == sparse.exact(types, k4), (kernel, p)
+            if p.block_sizes().count(4) == 1:
+                marginals += 1
+                want = naive_partition_sum(kernel, p, k4, by_full_block=True)
+                assert default.exact_marginal(types, k4) == want == sparse.exact_marginal(types, k4), (kernel, p)
+        assert marginals
         assert set(sparse.backend_types) == {"sparse"}
         assert 0 < len(sparse._patterns) <= d + 1
 

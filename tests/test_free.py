@@ -31,8 +31,14 @@ from homsums import (
     semicircular_moment,
     slice_fourth_sum,
 )
-from homsums import free
-from homsums.contract import KernelContractor
+from homsums import contract, free
+from homsums.contract import (
+    KernelContractor,
+    cumulant_weight,
+    incidence_type,
+    partition_class_size,
+    weighted_sum,
+)
 from slicing_reference import free_slice_moments_by_slicing, reference_kernels
 
 
@@ -243,7 +249,56 @@ def test_rho_contributions_symmetric_in_h(rng):
         k = random_admissible_kernel(rng, d, 4)
         contractor = KernelContractor.of(k)
         rhos = rho_partitions(d)
-        assert contractor.partition_value(rhos[0], 4) == contractor.partition_value(rhos[-1], 4)
+        first, last = ([(incidence_type(rho, 4, d), 1)] for rho in (rhos[0], rhos[-1]))
+        assert contractor.exact(first, 4) == contractor.exact(last, 4)
+
+
+def oracle_detail_by_two_classes(kernel, law):
+    """The free oracle's detail as assembled before it read the split from
+    its one class's profiles: the pairings as a second class, and the rho
+    part one contraction per rho partition."""
+    d = kernel.d
+    kappa = {2: law.kappa(2), 4: law.kappa(4)}
+    contractor = KernelContractor.of(kernel)
+    _, by_sizes = weighted_sum(contractor, 4, kappa, True)
+    pairing_part, _ = weighted_sum(contractor, 4, {2: kappa[2]}, True)
+    rho_part = Fraction(0)
+    for rho in rho_partitions(d):
+        w = cumulant_weight(kappa, rho.block_sizes())
+        rho_part += w * contractor.exact([(incidence_type(rho, 4, d), 1)], 4)
+    return {
+        "partitions": partition_class_size(d, kappa, 4, True),
+        "pairings": partition_class_size(d, {2}, 4, True),
+        "rho_count": d,
+        "pairing_part": pairing_part,
+        "rho_part": rho_part,
+        "by_block_sizes": {" +".join(map(str, k)): v for k, v in sorted(by_sizes.items())},
+    }
+
+
+def test_free_oracle_contracts_one_class(monkeypatch):
+    """The oracle makes one ``weighted_sum`` call and reads the pairings and
+    the rho part from its block-size profiles; its detail keeps every key,
+    value, number type and the key order of the two-class assembly, also
+    where kappa_4 = 0 drops the rho profile (exactly or as a float)."""
+    for d in (2, 3, 4):
+        profiles = contract._profile_types(d, frozenset({2, 4}), 4, True)
+        rho = (2,) * (2 * d - 2) + (4,)
+        assert set(profiles) == {(2,) * (2 * d), rho}
+        assert sum(c for _, c in profiles[rho]) == len(rho_partitions(d))
+    calls = []
+    real = free.weighted_sum
+    monkeypatch.setattr(free, "weighted_sum", lambda *a: calls.append(a) or real(*a))
+    laws = (FreeLaw.free_rademacher(), FreeLaw.semicircle(), FreeLaw((0.0, 1.0, 0.0, 2.0)))
+    assert [law.kappa(4) for law in laws] == [-1, 0, 0.0]
+    rng = random.Random(17)
+    for d in (2, 3):
+        for kernel in (random_admissible_kernel(rng, d, 4), random_admissible_kernel(rng, d, 5)):
+            for law in laws:
+                calls.clear()
+                rep = free_fourth_moment_oracle(kernel, law)
+                assert len(calls) == 1
+                assert repr(rep.detail) == repr(oracle_detail_by_two_classes(kernel, law))
 
 
 @pytest.mark.parametrize("d, n", [(5, 6), (5, 8), (6, 7)])

@@ -456,6 +456,9 @@ def test_reloaded_kernel_runs_on_the_same_tiers():
         {"idx": [1, 2], "val": 0.5},
         {"idx": [1, "2"], "num": 1, "den": 2},
         [1, 2],
+        {"idx": [1, 2], "num": 1, "den": True},
+        {"idx": [1, 2], "num": True, "den": 2},
+        {"idx": [True, 2], "num": 1, "den": 2},
     ],
 )
 def test_json_rejects_bad_entries(entry):
@@ -464,7 +467,7 @@ def test_json_rejects_bad_entries(entry):
         Kernel.from_json(data)
 
 
-@pytest.mark.parametrize("val", [float("nan"), float("inf"), "1/2", None])
+@pytest.mark.parametrize("val", [float("nan"), float("inf"), "1/2", None, True])
 def test_json_rejects_bad_float_values(val):
     data = {"n": 3, "d": 2, "mode": "float", "entries": [{"idx": [1, 2], "val": val}]}
     with pytest.raises(KernelFormatError, match="entry 0"):
@@ -479,6 +482,7 @@ def test_json_rejects_bad_float_values(val):
         (0.5, KernelFormatError),
         ({"num": -1, "den": 2}, HomsumError),
         ({"num": 0, "den": 2}, HomsumError),
+        ({"num": True, "den": 1}, KernelFormatError),
     ],
 )
 def test_json_rejects_bad_scale2(scale2, error):
@@ -498,6 +502,12 @@ def test_json_rejects_bad_headers():
         Kernel.from_json({"n": 3, "d": 2, "mode": "exact", "entries": 5})
     with pytest.raises(KernelFormatError, match="integers"):
         Kernel.from_json({"n": 3.0, "d": 2, "mode": "exact", "entries": []})
+    # JSON booleans are not integers, though bool subclasses int
+    with pytest.raises(KernelFormatError, match="integers"):
+        Kernel.from_json({"n": True, "d": 1, "mode": "exact",
+                          "entries": [{"idx": [True], "num": True, "den": True}]})
+    with pytest.raises(KernelFormatError, match="integers"):
+        Kernel.from_json({"n": 3, "d": True, "mode": "exact", "entries": []})
     with pytest.raises(HomsumError, match="degree"):
         Kernel.from_json({"n": 3, "d": 0, "mode": "exact", "entries": []})
 
