@@ -77,12 +77,7 @@ def _slice_fourth_sums(kernel: Kernel) -> tuple[Fraction, ...]:
 def classical_fourth_moment_formula(kernel: Kernel, law: ClassicalLaw) -> MomentReport:
     """``E[Q_X(f)^4]`` by the nested-cumulant closed form: the Gaussian Wick
     term plus fourth-cumulant corrections from lower-order slice moments."""
-    violations = law.assumption_a_violations()
-    if violations:
-        raise AssumptionViolation(
-            "closed form needs a centered, unit-variance law with zero third "
-            "moment; violated: " + "; ".join(violations)
-        )
+    law.require("closed form", 3)
     d = kernel.d
     chi4 = law.chi(4)
     base = kernel.derived(_wick_sum)
@@ -113,8 +108,7 @@ def classical_fourth_moment_oracle(kernel: Kernel, law: ClassicalLaw) -> MomentR
         raise GroundCapExceeded(
             f"partition oracle supports degree <= {ORACLE_MAX_DEGREE}, got {d}"
         )
-    if law.moment(1) != 0:
-        raise AssumptionViolation("partition oracle needs a centered law (m1 = 0)")
+    law.require("partition oracle", 1)
     chi = {s: law.chi(s) for s in (2, 3, 4)}
     value, by_sizes = weighted_sum(KernelContractor.of(kernel), 4, chi, False)
     detail = {

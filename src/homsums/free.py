@@ -18,7 +18,7 @@ from fractions import Fraction
 from math import factorial
 
 from .contract import KernelContractor, canonical_type, partition_class_size, weighted_sum
-from .errors import AssumptionViolation, HomsumError
+from .errors import HomsumError
 from .kernels import Kernel, contraction_square_sum
 from .laws import FreeLaw
 from .partitions import rho_partitions
@@ -114,12 +114,7 @@ def free_fourth_moment(kernel: Kernel, law: FreeLaw) -> MomentReport:
     """``phi(Q_Y(f)^4)``: the semicircular value plus the fourth free cumulant
     of the law times the slice fourth-moment sum.  No third-moment condition
     is needed."""
-    violations = law.assumption_b_violations()
-    if violations:
-        raise AssumptionViolation(
-            "free closed form needs a centered unit-variance law; violated: "
-            + "; ".join(violations)
-        )
+    law.require("free closed form", 2)
     if kernel.d < 2:
         raise HomsumError("free fourth moment needs degree >= 2")
     kappa4 = law.kappa(4)
@@ -152,12 +147,7 @@ def free_fourth_moment_oracle(kernel: Kernel, law: FreeLaw) -> MomentReport:
     partitions may appear, and the latter's contribution must equal
     ``kappa_4`` times the slice fourth-moment sum.
     """
-    violations = law.assumption_b_violations()
-    if violations:
-        raise AssumptionViolation(
-            "free oracle needs a centered unit-variance law; violated: "
-            + "; ".join(violations)
-        )
+    law.require("free oracle", 2)
     d = kernel.d
     if d < 2:
         raise HomsumError("free oracle needs degree >= 2")
@@ -196,7 +186,8 @@ def free_third_moment_oracle(kernel: Kernel, law: FreeLaw) -> MomentReport:
     """``phi(Q_Y(f)^3)`` by enumerating non-crossing, group-respecting
     partitions with blocks of sizes {2, 3}.  For even degree the class
     contains no 3-blocks, which is exactly why the third moment matches the
-    semicircular one there."""
+    semicircular one there.  The law need only be centered."""
+    law.require("free third-moment oracle", 1)
     kappa = {2: law.kappa(2), 3: law.kappa(3)}
     coeff, by_sizes = weighted_sum(KernelContractor.of(kernel), 3, kappa, True)
     value = _with_scale(coeff, kernel, 3)

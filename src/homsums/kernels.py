@@ -31,6 +31,7 @@ import itertools
 import json
 import math
 import random
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, gcd, isqrt, lcm
@@ -287,7 +288,8 @@ def _file_value(obj, exact: bool, where: str) -> Fraction:
     num, den, val = get("num"), get("den"), get("val")
     if exact and _is_int(num) and _is_int(den) and den:
         return Fraction(num, den)
-    if not exact and (_is_int(val) or isinstance(val, float)) and math.isfinite(val):
+    # a float-mode value must fit a finite float; NaN fails the bound too
+    if not exact and (_is_int(val) or isinstance(val, float)) and abs(val) <= sys.float_info.max:
         return Fraction(val)
     need = "integer 'num' and nonzero integer 'den'" if exact else "a finite numeric 'val'"
     raise KernelFormatError(f"{where}: needs {need}")

@@ -11,11 +11,10 @@ cumulant alone, so each order solves for one unknown.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from math import comb, isfinite
 from typing import Sequence
 
-from .errors import HomsumError, MissingCumulant
+from .errors import AssumptionViolation, HomsumError, MissingCumulant
 
 Number = Fraction | float
 
@@ -40,21 +39,11 @@ def _power_coefficient(
 
 
 def _transform(seq: Sequence[Number], noncrossing: bool, to_cumulants: bool) -> tuple[Number, ...]:
-    """Moments to cumulants (``to_cumulants``) or back, order by order;
-    memoized on the sequence with each term's type and a float's bits
-    (``3 == 3.0 == Fraction(3)`` and ``-0.0 == 0.0``, but each keeps its own).
-    A NaN or infinite term is rejected before the cache is read."""
+    """Moments to cumulants (``to_cumulants``) or back, order by order, each
+    term keeping its own type (a float sequence gives floats, signed zeros
+    included).  A NaN or infinite term is rejected first."""
     if any(isinstance(x, float) and not isfinite(x) for x in seq):
         raise HomsumError(f"moments and cumulants must be finite, got ({', '.join(map(str, seq))})")
-    typed = tuple((type(x), x.hex() if isinstance(x, float) else None, x) for x in seq)
-    return _typed_transform(typed, noncrossing, to_cumulants)
-
-
-@lru_cache(maxsize=None)
-def _typed_transform(
-    typed: tuple[tuple[type, str | None, Number], ...], noncrossing: bool, to_cumulants: bool
-) -> tuple[Number, ...]:
-    seq = [x for *_, x in typed]
     K = len(seq)
     if K < 1 or K > MAX_ORDER:
         what = "moment" if to_cumulants else "cumulant"
@@ -111,14 +100,17 @@ class _LawBase:
     """Shared moment/cumulant bookkeeping for the two regimes."""
 
     _noncrossing: bool
-    _label: str
 
     def __init__(self, moments: Sequence):
         moms = tuple(_as_number(m) for m in moments)
         if len(moms) < 4:
-            raise HomsumError(f"{self._label} needs moments at least up to order 4")
+            raise HomsumError(f"{type(self).__name__} needs moments at least up to order 4")
         self.moments = moms
         self.cumulants = _transform(moms, self._noncrossing, to_cumulants=True)
+
+    @classmethod
+    def from_fourth_moment(cls, m4, m3=0):
+        return cls((0, 1, m3, m4))
 
     @property
     def max_order(self) -> int:
@@ -136,6 +128,15 @@ class _LawBase:
             )
         return self.cumulants[j - 1]
 
+    def require(self, what: str, upto: int) -> None:
+        """Refuse a law unless ``m_1..m_upto`` are ``(0, 1, 0)[:upto]``: 3 is
+        assumption (A), 2 is assumption (B), 1 asks for a centered law."""
+        need = (0, 1, 0)[:upto]
+        violated = [f"m{j} = {m} (need {v})" for j, (m, v) in enumerate(zip(self.moments, need), 1) if m != v]
+        if violated:
+            kind = ("a centered law", "a centered unit-variance law", "a centered unit-variance law with m3 = 0")
+            raise AssumptionViolation(f"{what} needs {kind[upto - 1]}; violated: " + "; ".join(violated))
+
     def __repr__(self) -> str:
         return f"{type(self).__name__}(moments={self.moments!r})"
 
@@ -147,21 +148,9 @@ class ClassicalLaw(_LawBase):
     """A classical entry law given by its moments ``m_1..m_K``."""
 
     _noncrossing = False
-    _label = "ClassicalLaw"
 
     def chi(self, j: int) -> Number:
         return self._cumulant(j)
-
-    def assumption_a_violations(self) -> list[str]:
-        """Assumption (A): centered, unit variance, zero third moment."""
-        out = []
-        if self.moment(1) != 0:
-            out.append(f"m1 = {self.moment(1)} (need 0)")
-        if self.moment(2) != 1:
-            out.append(f"m2 = {self.moment(2)} (need 1)")
-        if self.moment(3) != 0:
-            out.append(f"m3 = {self.moment(3)} (need 0)")
-        return out
 
     @classmethod
     def gaussian(cls) -> "ClassicalLaw":
@@ -171,28 +160,14 @@ class ClassicalLaw(_LawBase):
     def rademacher(cls) -> "ClassicalLaw":
         return cls((0, 1, 0, 1, 0, 1, 0, 1))
 
-    @classmethod
-    def from_fourth_moment(cls, m4, m3=0) -> "ClassicalLaw":
-        return cls((0, 1, m3, m4))
-
 
 class FreeLaw(_LawBase):
     """A non-commutative entry law given by its moments."""
 
     _noncrossing = True
-    _label = "FreeLaw"
 
     def kappa(self, j: int) -> Number:
         return self._cumulant(j)
-
-    def assumption_b_violations(self) -> list[str]:
-        """Assumption (B): centered with unit variance."""
-        out = []
-        if self.moment(1) != 0:
-            out.append(f"m1 = {self.moment(1)} (need 0)")
-        if self.moment(2) != 1:
-            out.append(f"m2 = {self.moment(2)} (need 1)")
-        return out
 
     @classmethod
     def semicircle(cls) -> "FreeLaw":
@@ -201,7 +176,3 @@ class FreeLaw(_LawBase):
     @classmethod
     def free_rademacher(cls) -> "FreeLaw":
         return cls((0, 1, 0, 1, 0, 1, 0, 1))
-
-    @classmethod
-    def from_fourth_moment(cls, m4, m3=0) -> "FreeLaw":
-        return cls((0, 1, m3, m4))

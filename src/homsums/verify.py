@@ -266,15 +266,17 @@ def verify_identities(
     include: str = "both",
 ) -> VerificationReport:
     """The mixture separation identity and the two-law difference identity on
-    random kernels, weights and laws."""
+    random kernels, weights and laws, each law built once."""
     rng = random.Random(seed)
+    classical_laws = [ClassicalLaw.from_fourth_moment(m4) for m4 in CLASSICAL_M4]
+    free_laws = {j: FreeLaw.from_fourth_moment(Fraction(j, 2)) for j in range(1, 9)}
     report = VerificationReport("identities")
     mixture = IdentityCheck("mixture separation identity (exact)")
     difference = IdentityCheck("two-law fourth-cumulant difference identity (exact)")
     for _ in range(cases):
         kernel = random_admissible_kernel(rng, d, n)
         if include in ("both", "mixture"):
-            law = ClassicalLaw.from_fourth_moment(rng.choice(CLASSICAL_M4))
+            law = rng.choice(classical_laws)
             t = [Fraction(rng.randint(1, 9), rng.randint(1, 9)) for _ in range(n)]
             res = mixture_identity_check(kernel, law, t)
             mixture.record(
@@ -283,8 +285,8 @@ def verify_identities(
                 _case(kernel, {"t": t}),
             )
         if include in ("both", "difference"):
-            law_a = FreeLaw.from_fourth_moment(Fraction(rng.randint(1, 8), 2))
-            law_b = FreeLaw.from_fourth_moment(Fraction(rng.randint(1, 8), 2))
+            law_a = free_laws[rng.randint(1, 8)]
+            law_b = free_laws[rng.randint(1, 8)]
             res = free_difference_identity(kernel, law_a, law_b)
             difference.record(
                 res["equal"],

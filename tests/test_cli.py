@@ -286,8 +286,9 @@ def test_moments_rejects_malformed_kernel(tmp_path, capsys):
         {"n": 3, "d": 2, "mode": "exact", "entries": 5},
         {"n": 3, "d": 2, "mode": "exact", "entries": [[1, 2]]},
         {"n": True, "d": 1, "mode": "exact", "entries": [{"idx": [True], "num": True, "den": True}]},
+        {"n": 3, "d": 2, "mode": "float", "entries": [{"idx": [1, 2], "val": 10**400}]},
     ],
-    ids=["entries-not-a-list", "entry-not-an-object", "json-booleans"],
+    ids=["entries-not-a-list", "entry-not-an-object", "json-booleans", "huge-int-val"],
 )
 def test_moments_rejects_malformed_kernel_shape(tmp_path, capsys, doc):
     bad = tmp_path / "bad.json"

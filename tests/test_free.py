@@ -329,6 +329,17 @@ def test_free_third_moment_equals_semicircular_at_even_degree(rng):
         assert "2 +2 +2" in rep.detail["by_block_sizes"] or rep.value == 0
 
 
+def test_free_third_oracle_refuses_uncentered_law():
+    """phi(Y^3) = m3 for a one-entry degree-1 kernel: the oracle weighs by
+    kappa_3, which equals m3 only for a centered law, so an uncentered law
+    is refused; a centered one needs no unit variance here."""
+    k = Kernel(1, 1, {(1,): 1})
+    with pytest.raises(AssumptionViolation, match="m1 = 1 \\(need 0\\)"):
+        free_third_moment_oracle(k, FreeLaw((1, 2, 5, 20)))
+    rep = free_third_moment_oracle(k, FreeLaw((0, 2, 5, 20)))
+    assert rep.value == 5 and type(rep.value) is Fraction
+
+
 # -- difference identity ------------------------------------------------------------------
 
 

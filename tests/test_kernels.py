@@ -467,10 +467,10 @@ def test_json_rejects_bad_entries(entry):
         Kernel.from_json(data)
 
 
-@pytest.mark.parametrize("val", [float("nan"), float("inf"), "1/2", None, True])
+@pytest.mark.parametrize("val", [float("nan"), float("inf"), "1/2", None, True, pytest.param(10**400, id="10**400")])
 def test_json_rejects_bad_float_values(val):
     data = {"n": 3, "d": 2, "mode": "float", "entries": [{"idx": [1, 2], "val": val}]}
-    with pytest.raises(KernelFormatError, match="entry 0"):
+    with pytest.raises(KernelFormatError, match="entry 0: needs a finite numeric 'val'"):
         Kernel.from_json(data)
 
 

@@ -4,8 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from homsums import laws
 from homsums import (
+    AssumptionViolation,
     BlockProfile,
     ClassicalLaw,
     FreeLaw,
@@ -108,11 +108,25 @@ def test_law_validation():
 
 
 def test_assumption_checks():
-    assert ClassicalLaw.gaussian().assumption_a_violations() == []
-    bad = ClassicalLaw((0, 1, Fraction(1, 2), 3))
-    assert any("m3" in v for v in bad.assumption_a_violations())
-    assert FreeLaw.semicircle().assumption_b_violations() == []
-    assert any("m2" in v for v in FreeLaw((0, 2, 0, 2)).assumption_b_violations())
+    """``require(what, upto)`` looks at ``m_1..m_upto`` alone and names each
+    of them that is off: a law off only in ``m_j`` passes below ``upto = j``
+    and fails from ``j`` on.  The standard laws pass."""
+    off = {1: "m1 = 1 (need 0)", 2: "m2 = 2 (need 1)", 3: "m3 = 1/2 (need 0)"}
+    for law_type in (ClassicalLaw, FreeLaw):
+        for j, moments in ((1, (1, 1, 0, 3)), (2, (0, 2, 0, 3)), (3, (0, 1, Fraction(1, 2), 3))):
+            law = law_type(moments)
+            for upto in range(1, j):
+                law.require("engine", upto)
+            for upto in range(j, 4):
+                with pytest.raises(AssumptionViolation, match=r"^engine needs .*; violated: ") as err:
+                    law.require("engine", upto)
+                assert str(err.value).endswith("violated: " + off[j])
+        with pytest.raises(AssumptionViolation) as err:
+            law_type((1, 2, Fraction(1, 2), 3)).require("engine", 3)
+        assert str(err.value).endswith("violated: " + "; ".join(off.values()))
+    for law in (ClassicalLaw.gaussian(), ClassicalLaw.rademacher(), FreeLaw.semicircle(), FreeLaw.free_rademacher()):
+        law.require("engine", 3)
+        law.require("engine", 2)
 
 
 def test_float_moments_flow_through():
@@ -164,15 +178,12 @@ def test_free_transform_equals_unmemoized_recursion_bit_for_bit(rng, to_cumulant
         assert [(type(x), repr(x)) for x in got] == [(type(x), repr(x)) for x in want], seq
 
 
-def test_transform_cache_keeps_signed_zeros_apart():
-    """``-0.0 == 0.0``, but a cached transform of one sequence is not
-    returned for the other: each gives its cold-cache value."""
-    laws._typed_transform.cache_clear()
-    cold = moments_to_free_cumulants((0.0, -0.0, 0.0))
-    laws._typed_transform.cache_clear()
-    moments_to_free_cumulants((0.0, 0.0, -0.0))
-    warm = moments_to_free_cumulants((0.0, -0.0, 0.0))
-    assert repr(warm) == repr(cold) == "(0.0, -0.0, 0.0)"
+def test_transform_keeps_signed_zeros():
+    """``-0.0 == 0.0``, but each of two sequences that differ only in the
+    sign of a zero keeps its own signed zeros, in either call order."""
+    for first, second in (((0.0, -0.0, 0.0), (0.0, 0.0, -0.0)), ((0.0, 0.0, -0.0), (0.0, -0.0, 0.0))):
+        for seq in (first, second):
+            assert repr(moments_to_free_cumulants(seq)) == repr(seq)
 
 
 def test_transform_length_cap():
@@ -181,11 +192,9 @@ def test_transform_length_cap():
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
-def test_non_finite_terms_are_rejected_before_the_cache(bad):
-    laws._typed_transform.cache_clear()
+def test_non_finite_terms_are_rejected(bad):
     for make in (ClassicalLaw.from_fourth_moment, FreeLaw.from_fourth_moment):
         with pytest.raises(HomsumError, match="finite"):
             make(bad)
     with pytest.raises(HomsumError, match="finite"):
         moments_to_free_cumulants((0.0, 1.0, bad))
-    assert laws._typed_transform.cache_info().currsize == 0

@@ -1,9 +1,11 @@
 """The randomized verification suites themselves."""
 
+from fractions import Fraction
+
 import pytest
 
-from homsums import run_verification
-from homsums.verify import IdentityCheck
+from homsums import run_verification, verify
+from homsums.verify import IdentityCheck, verify_identities
 
 
 def test_full_verification_passes_small():
@@ -34,3 +36,29 @@ def test_identity_check_records_failures():
 def test_unknown_scope():
     with pytest.raises(ValueError):
         run_verification(scope="everything")
+
+
+def test_verify_identities_cases_are_pinned(monkeypatch):
+    """The first three draws of ``verify_identities(seed=1)``: the classical
+    law's moments, then the two free laws' m4.  A change to the order or the
+    calls of verify's draws changes these."""
+    draws = []
+
+    def mixture(kernel, law, t):
+        draws.append(law.moments)
+        return {"equal": True, "oracle_agrees": None, "lhs": 0, "rhs": 0}
+
+    def difference(kernel, law_a, law_b):
+        draws[-1] = (draws[-1], law_a.moment(4), law_b.moment(4))
+        return {"equal": True, "lhs": 0, "rhs": 0}
+
+    monkeypatch.setattr(verify, "mixture_identity_check", mixture)
+    monkeypatch.setattr(verify, "free_difference_identity", difference)
+    verify_identities(seed=1, cases=3)
+    half = Fraction(1, 2)
+    assert draws == [
+        ((0, 1, 0, 2), 2, 7 * half),
+        ((0, 1, 0, 1), 5 * half, 5 * half),
+        ((0, 1, 0, 1), 5 * half, 7 * half),
+    ]
+    assert all(type(m) is Fraction for moments, *_ in draws for m in moments)
