@@ -23,11 +23,12 @@ scale, so results are exact rationals and no other module sees the integers.
 ``KernelContractor.type_value`` contracts a type by one of three tiers,
 chosen from the kernel and the type alone.  All read each copy's blocks
 straight from the type key (``_copy_blocks``), in any order, the kernel being
-symmetric.  The two dense tiers contract the full numerator tensor, one index
-letter per block, pairwise in the order of ``np.einsum_path``'s greedy
-planner.  The plan is compiled once per subscripts and ``n``
-(``_pairwise_plan``): each step transposes and reshapes its two operands to a
-batched ``np.matmul``, so a call re-plans nothing.  A dense tier needs degree
+symmetric.  The two dense tiers contract the full numerator tensor, one axis
+per block, pairwise in a greedy order planned from the copies' blocks: each
+step takes the pair whose result keeps the fewest blocks, then sums the most.
+The plan is compiled once per type, open block and ``n`` (``_pairwise_plan``):
+each step transposes and reshapes its two operands to a batched
+``np.matmul``, so a call re-plans nothing.  A dense tier needs degree
 at least 2, a tensor of at most ``DENSE_CAP`` entries with at least
 ``1/DENSE_SPARSITY`` of them nonzero, and a planned path of pairwise steps
 whose intermediates stay within ``DENSE_CAP``.  Every product and every
@@ -68,7 +69,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import string
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache, partial
@@ -135,52 +135,45 @@ def _copy_blocks(tkey: TypeKey, k: int) -> list[list[int]]:
 
 
 @lru_cache(maxsize=None)
-def _einsum_subscripts(tkey: TypeKey, k: int, open_block: int | None) -> str:
-    """``np.einsum`` subscripts contracting ``k`` kernel copies along an
-    incidence type: one letter per block, each copy indexed by the letters of
-    its blocks; the open block's letter, if any, is the output."""
-    letters = string.ascii_letters
-    terms = ("".join(letters[b] for b in blocks) for blocks in _copy_blocks(tkey, k))
-    out = "" if open_block is None else letters[open_block]
-    return ",".join(terms) + "->" + out
+def _pairwise_plan(tkey: TypeKey, k: int, open_block: int | None, n: int) -> tuple | None:
+    """A greedy pairwise contraction order for ``k`` copies of an ``n^d``
+    tensor along the type's blocks, summing every block but ``open_block``,
+    compiled to batched-matmul steps that run with no re-planning.
 
-
-@lru_cache(maxsize=None)
-def _pairwise_plan(subscripts: str, n: int) -> tuple | None:
-    """The greedy contraction order for copies of an ``n^d`` tensor, with
-    every intermediate within ``DENSE_CAP`` entries, compiled once to
-    batched-matmul steps that run with no re-planning.  A step holds the two
-    operand positions it pops (highest first), each operand's axis order and
-    3-d shape for ``matmul`` (the first as batch, kept, summed letters; the
-    second as batch, summed, kept) and the result's shape (its letters: the
-    batch, then each side's kept).  None when the planner cannot avoid a step
-    over three or more operands at once (a naive loop), or a step would sum a
-    letter of one operand alone."""
-    inputs, out = subscripts.split("->")
-    operands = inputs.split(",")
-    shapes = [np.broadcast_to(np.int64(0), (n,) * len(t)) for t in operands]
-    path, _ = np.einsum_path(subscripts, *shapes, optimize=("greedy", DENSE_CAP))
+    Each step contracts the pair of operands whose result keeps the fewest
+    blocks, then sums the most (ties to the lowest pair), among the pairs
+    whose result has at most ``DENSE_CAP`` entries; the result replaces the
+    pair at the end of the list.  A step holds the two operand positions it
+    pops (highest first), each operand's axis order and 3-d shape for
+    ``matmul`` (the first as batch, kept, summed blocks; the second as batch,
+    summed, kept) and the result's shape (its blocks: the batch, then each
+    side's kept).  None when no pair fits, or when a block of one operand
+    alone would be summed."""
+    operands = _copy_blocks(tkey, k)
     steps = []
-    for step in path[1:]:
-        if len(step) != 2:
+    while len(operands) > 1:
+        pairs = []
+        for j, i in itertools.combinations(range(len(operands)), 2):
+            a, b = operands[i], operands[j]
+            keep = {open_block}.union(*(o for x, o in enumerate(operands) if x not in (i, j)))
+            batch = [c for c in a if c in b and c in keep]
+            summed = [c for c in a if c in b and c not in keep]
+            left, right = [c for c in a if c not in b], [c for c in b if c not in a]
+            result = batch + left + right
+            if keep.issuperset(left + right) and n ** len(result) <= DENSE_CAP:
+                sides = (batch, left, summed), (batch, summed, right)
+                pairs.append((len(result), -len(summed), j, i, result, *sides))
+        if not pairs:
             return None
-        pops = tuple(sorted(step, reverse=True))
-        a, b = (operands.pop(i) for i in pops)
-        keep = set(out).union(*operands)
-        batch = [c for c in a if c in b and c in keep]
-        summed = [c for c in a if c in b and c not in keep]
-        left = [c for c in a if c not in b]
-        right = [c for c in b if c not in a]
-        if not keep.issuperset(left + right):
-            return None
-        result = "".join(batch + left + right)
+        *_, j, i, result, a_axes, b_axes = min(pairs)
+        a, b = operands.pop(i), operands.pop(j)
         operands.append(result)
         steps.append((
-            pops,
-            tuple(a.index(c) for c in batch + left + summed),
-            (n ** len(batch), n ** len(left), n ** len(summed)),
-            tuple(b.index(c) for c in batch + summed + right),
-            (n ** len(batch), n ** len(summed), n ** len(right)),
+            (i, j),
+            tuple(a.index(c) for axes in a_axes for c in axes),
+            tuple(n ** len(axes) for axes in a_axes),
+            tuple(b.index(c) for axes in b_axes for c in axes),
+            tuple(n ** len(axes) for axes in b_axes),
             (n,) * len(result),
         ))
     return tuple(steps)
@@ -238,7 +231,7 @@ def run_plan(tensor: np.ndarray, tkey: TypeKey, k: int, open_block: int | None =
     either dense dtype), as an exact int or, with an open block, a tuple of
     ints; None when the planner finds no path.  Exact only when the tensor's
     dtype holds every partial sum (``dense_tier``)."""
-    steps = _pairwise_plan(_einsum_subscripts(tkey, k, open_block), tensor.shape[0])
+    steps = _pairwise_plan(tkey, k, open_block, tensor.shape[0])
     if steps is None:
         return None
     operands = [tensor] * k

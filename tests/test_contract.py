@@ -212,6 +212,104 @@ def test_type_with_no_pairwise_path_runs_sparse(monkeypatch):
         contract._pairwise_plan.cache_clear()
 
 
+# The cli-cold kernels' fourth moments under m4 = 9/2 (classical closed form
+# and oracle) and free Rademacher entries (free closed form and oracle).
+CLI_COLD_FOURTH_MOMENTS = {
+    (3, 6): (Fraction(153161253, 3886472), Fraction(114973, 2057544)),
+    (4, 7): (Fraction(137171649, 952576), Fraction(39830683, 11110846464)),
+}
+
+
+@pytest.mark.parametrize("d,n", list(CLI_COLD_FOURTH_MOMENTS))
+def test_dense_plans_need_no_einsum_path(monkeypatch, d, n):
+    """Planning never asks numpy: with ``np.einsum_path`` raising, both
+    engines of both regimes still give their pinned values on the cli-cold
+    kernels, and every type they contract runs dense."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.einsum_path called")
+
+    monkeypatch.setattr(np, "einsum_path", refuse)
+    contract._pairwise_plan.cache_clear()
+    try:
+        kernel = random_admissible_kernel(random.Random(0), d, n)
+        classical, free = CLI_COLD_FOURTH_MOMENTS[d, n]
+        m4, free_rademacher = ClassicalLaw.from_fourth_moment(Fraction(9, 2)), FreeLaw.free_rademacher()
+        assert classical_fourth_moment_formula(kernel, m4).value == classical
+        assert classical_fourth_moment_oracle(kernel, m4).value == classical
+        assert free_fourth_moment(kernel, free_rademacher).value == free
+        assert free_fourth_moment_oracle(kernel, free_rademacher).value == free
+        backends = KernelContractor.of(kernel).backend_types
+        assert backends["float64"] > 0 and "sparse" not in backends
+    finally:
+        contract._pairwise_plan.cache_clear()
+
+
+def numpy_greedy_cost(tkey, k, open_block, n):
+    """The reference planner: ``np.einsum_path``'s greedy order under the
+    ``DENSE_CAP`` memory limit, replayed step by step.  The cost is the sum,
+    over steps, of batch * kept * summed * kept' entries, as in the compiled
+    plan's matmul shapes; None where numpy has no pairwise path or a step
+    would sum a letter of one operand alone."""
+    letters = [[chr(ord("a") + b) for b in blocks] for blocks in contract._copy_blocks(tkey, k)]
+    out = "" if open_block is None else chr(ord("a") + open_block)
+    subscripts = ",".join(map("".join, letters)) + "->" + out
+    shapes = [np.broadcast_to(np.int64(0), (n,) * len(t)) for t in letters]
+    path, _ = np.einsum_path(subscripts, *shapes, optimize=("greedy", contract.DENSE_CAP))
+    cost = 0
+    for step in path[1:]:
+        if len(step) != 2:
+            return None
+        a, b = (set(letters.pop(i)) for i in sorted(step, reverse=True))
+        keep = set(out).union(*letters)
+        if not keep.issuperset(a ^ b):
+            return None
+        cost += n ** len(a | b)
+        letters.append(sorted((a | b) & keep))
+    return cost
+
+
+def plan_cost(steps):
+    """Sum over a compiled plan's steps of its matmul's batch * kept *
+    summed * kept' entries."""
+    return sum(math.prod(a_shape) * b_shape[2] for _, _, a_shape, _, b_shape, _ in steps)
+
+
+def planner_cases():
+    """(type, k, open block) over the classes the engines contract: the
+    k = 4 classes {2}, {2,3,4} and non-crossing {2,4}, the free closed
+    form's open-block types and the k = 2 and 3 non-crossing classes, each
+    at d = 2..6; and the k = 3 non-crossing {1, 2} class at d = 2..4, whose
+    singleton blocks no pairwise step may sum."""
+    cases = set()
+    for d in range(2, 7):
+        for sizes, nc in [({2}, False), ({2, 3, 4}, False), ({2, 4}, True)]:
+            cases.update((tkey, 4, None) for tkey, _ in grouped_types(d, frozenset(sizes), 4, nc))
+        for s in range(d):
+            tkey = contract.canonical_type((3,) * s + (12,) * s + (5,) * (d - 1 - s) + (10,) * (d - 1 - s) + (15,), 4)
+            cases.add((tkey, 4, tkey.index(15)))
+        cases.update((tkey, 2, None) for tkey, _ in grouped_types(d, frozenset({2}), 2, True))
+        cases.update((tkey, 3, None) for tkey, _ in grouped_types(d, frozenset({2, 3}), 3, True))
+    for d in range(2, 5):
+        cases.update((tkey, 3, None) for tkey, _ in grouped_types(d, frozenset({1, 2}), 3, True))
+    return sorted(cases, key=repr)
+
+
+@pytest.mark.parametrize("n", [7, 48])
+def test_plan_cost_matches_numpy_greedy(n):
+    """On every type of the classes the engines contract, the planner finds a
+    pairwise path exactly where numpy's greedy planner does, at no greater
+    cost."""
+    cases = planner_cases()
+    assert len(cases) == 217
+    for tkey, k, open_block in cases:
+        steps = contract._pairwise_plan(tkey, k, open_block, n)
+        want = numpy_greedy_cost(tkey, k, open_block, n)
+        assert (steps is None) == (want is None), (tkey, k, open_block)
+        if steps is not None:
+            assert plan_cost(steps) <= want, (tkey, k, open_block, plan_cost(steps), want)
+
+
 CAP_ENGINES = {  # name -> (degree, moment order, engine)
     "closed form": (7, 4, lambda f: classical_fourth_moment_formula(f, ClassicalLaw.gaussian())),
     "semicircular order 5": (5, 5, lambda f: semicircular_moment(f, 5)),
