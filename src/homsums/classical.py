@@ -24,7 +24,7 @@ from .contract import KernelContractor, grouped_types, partition_class_size, wei
 from .errors import AssumptionViolation, GroundCapExceeded
 from .kernels import Kernel
 from .laws import ClassicalLaw
-from .reports import MomentReport
+from .reports import MomentReport, block_size_labels
 
 #: The partition oracle counts the interval-respecting classes on [4d] by
 #: incidence type instead of listing them, and contracts every type; degrees
@@ -113,7 +113,7 @@ def classical_fourth_moment_oracle(kernel: Kernel, law: ClassicalLaw) -> MomentR
     value, by_sizes = weighted_sum(KernelContractor.of(kernel), 4, chi, False)
     detail = {
         "partitions": partition_class_size(d, chi, 4, False),
-        "by_block_sizes": {" +".join(map(str, k)): v for k, v in sorted(by_sizes.items())},
+        "by_block_sizes": block_size_labels(by_sizes),
     }
     return MomentReport(value=value, method="enumeration", detail=detail)
 

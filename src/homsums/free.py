@@ -7,8 +7,10 @@ The closed form's per-index slice moments are parent-kernel types whose
 slice index block is left unsummed; no slice kernel is built.
 
 Scaling convention: a homogeneous sum over an admissible kernel has second
-moment ``1/d!``, so "target" comparisons use the ``d!``-rescaled sum.  Reports
-carry both the raw value and the ``d!^(k/2)``-scaled value.
+moment ``1/d!``, so "target" comparisons use the ``d!``-rescaled sum.  One
+builder makes every free report, with the raw value and the ``d!^(k/2)``-scaled
+value.  At odd order the scale is irrational: the scaled value is a float, and
+so is the value unless ``scale2 = 1``.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from .errors import HomsumError
 from .kernels import Kernel, contraction_square_sum
 from .laws import FreeLaw
 from .partitions import rho_partitions
-from .reports import MomentReport
+from .reports import MomentReport, block_size_labels
 
 
 def free_second_moment(kernel: Kernel) -> Fraction:
@@ -31,18 +33,25 @@ def free_second_moment(kernel: Kernel) -> Fraction:
     return kernel.sq_norm()
 
 
-def _with_scale(report_value: Fraction, kernel: Kernel, order: int):
-    """Apply the outstanding half-power of the kernel scale for odd orders."""
-    if order % 2 == 0 or kernel.scale2 == 1:
-        return report_value
-    return float(report_value) * math.sqrt(kernel.scale2)
+def _noncrossing(kernel: Kernel, order: int, cumulants: dict):
+    """The one weighted sum over the non-crossing, group-respecting class of
+    ``order`` copies with the given blockwise cumulants: the coefficient, the
+    value (an odd order applies the outstanding half-power of the kernel
+    scale), the per-profile terms and the class size."""
+    coeff, by_sizes = weighted_sum(KernelContractor.of(kernel), order, cumulants, True)
+    value = coeff
+    if order % 2 == 1 and kernel.scale2 != 1:
+        value = float(coeff) * math.sqrt(kernel.scale2)
+    return coeff, value, by_sizes, partition_class_size(kernel.d, cumulants, order, True)
 
 
-def _scaled(value, d: int, order: int):
-    s = factorial(d) ** Fraction(order, 2)
+def _report(value, kernel: Kernel, order: int, method: str, detail: dict) -> MomentReport:
+    """A free report with its ``d!^(k/2)``-scaled value, a float at odd order."""
     if order % 2 == 0:
-        return value * int(factorial(d) ** (order // 2))
-    return float(value) * float(s)
+        scaled = value * factorial(kernel.d) ** (order // 2)
+    else:
+        scaled = float(value) * float(factorial(kernel.d) ** Fraction(order, 2))
+    return MomentReport(value=value, method=method, detail=detail, order=order, scaled_value=scaled)
 
 
 def semicircular_moment(kernel: Kernel, order: int) -> MomentReport:
@@ -50,21 +59,9 @@ def semicircular_moment(kernel: Kernel, order: int) -> MomentReport:
     positions that respect the ``k`` index groups."""
     if order < 1:
         raise HomsumError(f"moment order must be >= 1, got {order}")
-    semicircle = {2: Fraction(1)}
-    coeff, _ = weighted_sum(KernelContractor.of(kernel), order, semicircle, True)
-    value = _with_scale(coeff, kernel, order)
-    detail = {
-        "pairings": partition_class_size(kernel.d, semicircle, order, True),
-        "coefficient": coeff,
-        "scale2": kernel.scale2,
-    }
-    return MomentReport(
-        value=value,
-        method="enumeration",
-        detail=detail,
-        order=order,
-        scaled_value=_scaled(value, kernel.d, order),
-    )
+    coeff, value, _, pairings = _noncrossing(kernel, order, {2: Fraction(1)})
+    detail = {"pairings": pairings, "coefficient": coeff, "scale2": kernel.scale2}
+    return _report(value, kernel, order, "enumeration", detail)
 
 
 def semicircular_fourth_moment_contraction(kernel: Kernel) -> MomentReport:
@@ -73,14 +70,7 @@ def semicircular_fourth_moment_contraction(kernel: Kernel) -> MomentReport:
     detail = {"2*(sum f^2)^2": 2 * free_second_moment(kernel) ** 2}
     for s in range(1, kernel.d):
         detail[f"s={s}"] = contraction_square_sum(kernel, s)
-    value = sum(detail.values(), Fraction(0))
-    return MomentReport(
-        value=value,
-        method="closed-form",
-        detail=detail,
-        order=4,
-        scaled_value=_scaled(value, kernel.d, 4),
-    )
+    return _report(sum(detail.values(), Fraction(0)), kernel, 4, "closed-form", detail)
 
 
 def slice_fourth_sum(kernel: Kernel) -> Fraction:
@@ -128,13 +118,7 @@ def free_fourth_moment(kernel: Kernel, law: FreeLaw) -> MomentReport:
         "slice_fourth_sum": total_slices,
         "correction": correction_per_k,
     }
-    return MomentReport(
-        value=value,
-        method="closed-form",
-        detail=detail,
-        order=4,
-        scaled_value=_scaled(value, kernel.d, 4),
-    )
+    return _report(value, kernel, 4, "closed-form", detail)
 
 
 def free_fourth_moment_oracle(kernel: Kernel, law: FreeLaw) -> MomentReport:
@@ -152,7 +136,7 @@ def free_fourth_moment_oracle(kernel: Kernel, law: FreeLaw) -> MomentReport:
     if d < 2:
         raise HomsumError("free oracle needs degree >= 2")
     kappa = {2: law.kappa(2), 4: law.kappa(4)}
-    value, by_sizes = weighted_sum(KernelContractor.of(kernel), 4, kappa, True)
+    _, value, by_sizes, n_partitions = _noncrossing(kernel, 4, kappa)
     pairing, rho = (2,) * (2 * d), (2,) * (2 * d - 2) + (4,)
     if set(by_sizes) - {pairing, rho}:
         raise HomsumError(f"non-crossing {{2, 4}} class on [{4 * d}] has profiles {sorted(by_sizes)} (bug)")
@@ -163,7 +147,6 @@ def free_fourth_moment_oracle(kernel: Kernel, law: FreeLaw) -> MomentReport:
         raise HomsumError(
             "rho-partition contribution disagrees with the slice fourth-moment sum"
         )
-    n_partitions = partition_class_size(d, kappa, 4, True)
     rho_count = len(rho_partitions(d))  # asserts the class is pairings plus rhos
     detail = {
         "partitions": n_partitions,
@@ -171,15 +154,9 @@ def free_fourth_moment_oracle(kernel: Kernel, law: FreeLaw) -> MomentReport:
         "rho_count": rho_count,
         "pairing_part": pairing_part,
         "rho_part": rho_part,
-        "by_block_sizes": {" +".join(map(str, k)): v for k, v in sorted(by_sizes.items())},
+        "by_block_sizes": block_size_labels(by_sizes),
     }
-    return MomentReport(
-        value=value,
-        method="enumeration",
-        detail=detail,
-        order=4,
-        scaled_value=_scaled(value, d, 4),
-    )
+    return _report(value, kernel, 4, "enumeration", detail)
 
 
 def free_third_moment_oracle(kernel: Kernel, law: FreeLaw) -> MomentReport:
@@ -189,20 +166,9 @@ def free_third_moment_oracle(kernel: Kernel, law: FreeLaw) -> MomentReport:
     semicircular one there.  The law need only be centered."""
     law.require("free third-moment oracle", 1)
     kappa = {2: law.kappa(2), 3: law.kappa(3)}
-    coeff, by_sizes = weighted_sum(KernelContractor.of(kernel), 3, kappa, True)
-    value = _with_scale(coeff, kernel, 3)
-    detail = {
-        "partitions": partition_class_size(kernel.d, kappa, 3, True),
-        "coefficient": coeff,
-        "by_block_sizes": {" +".join(map(str, k)): v for k, v in sorted(by_sizes.items())},
-    }
-    return MomentReport(
-        value=value,
-        method="enumeration",
-        detail=detail,
-        order=3,
-        scaled_value=_scaled(value, kernel.d, 3),
-    )
+    coeff, value, by_sizes, n_partitions = _noncrossing(kernel, 3, kappa)
+    detail = {"partitions": n_partitions, "coefficient": coeff, "by_block_sizes": block_size_labels(by_sizes)}
+    return _report(value, kernel, 3, "enumeration", detail)
 
 
 def free_difference_identity(kernel: Kernel, law_a: FreeLaw, law_b: FreeLaw) -> dict:

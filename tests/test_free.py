@@ -2,11 +2,13 @@
 the nested free-cumulant closed form, the non-crossing oracle with its
 structural decomposition, and the two-law difference identity.
 
-The brute references enumerate pairings with itertools and test crossings by
-the raw quadruple definition, sharing no code with the engines.
+The brute references enumerate pairings and set partitions by plain
+recursion and test crossings by the raw quadruple definition, sharing no code
+with the engines.
 """
 
 import itertools
+import json
 import random
 from fractions import Fraction
 from math import factorial
@@ -91,6 +93,49 @@ def brute_semicircular_moment(kernel, order):
     if order % 2 == 1 and kernel.scale2 != 1:
         return total * float(kernel.scale2) ** 0.5
     return total
+
+
+def brute_set_partitions(elems):
+    if not elems:
+        yield []
+        return
+    first, rest = elems[0], elems[1:]
+    for part in brute_set_partitions(rest):
+        yield [[first]] + part
+        for i in range(len(part)):
+            yield part[:i] + [[first] + part[i]] + part[i + 1 :]
+
+
+def brute_free_third_coefficient(kernel, law):
+    """The free third-moment oracle's coefficient from scratch: set partitions
+    of [3d] with blocks of 2 or 3 elements, each meeting every copy at most
+    once, no two blocks crossing by the quadruple definition; each weighted by
+    kappa_2^pairs kappa_3^triples and summed over block-constant assignments,
+    then multiplied by scale2."""
+    d, n = kernel.d, kernel.n
+    m = 3 * d
+    total = Fraction(0)
+    for blocks in brute_set_partitions(list(range(1, m + 1))):
+        if any(len(b) not in (2, 3) or len({(a - 1) // d for a in b}) < len(b) for b in blocks):
+            continue
+        owner = {a: bi for bi, b in enumerate(blocks) for a in b}
+        if any(
+            owner[i] == owner[k] and owner[j] == owner[l] and owner[i] != owner[j]
+            for i, j, k, l in itertools.combinations(range(1, m + 1), 4)
+        ):
+            continue
+        weight = Fraction(1)
+        for b in blocks:
+            weight *= law.kappa(len(b))
+        for assign in itertools.product(range(1, n + 1), repeat=len(blocks)):
+            vals = {a: assign[owner[a]] for a in owner}
+            term = weight
+            for u in range(3):
+                term *= kernel.coeff(tuple(vals[u * d + j + 1] for j in range(d)))
+                if term == 0:
+                    break
+            total += term
+    return total * kernel.scale2
 
 
 def pair_kernel():
@@ -329,6 +374,17 @@ def test_free_third_moment_equals_semicircular_at_even_degree(rng):
         assert "2 +2 +2" in rep.detail["by_block_sizes"] or rep.value == 0
 
 
+def test_free_third_moment_equals_brute_reference_at_odd_degree():
+    """At d = 3 the {2, 3} class has 3-blocks, so the third moment is not the
+    semicircular one; the oracle's coefficient equals the brute sum, nonzero
+    on these kernels."""
+    skew = FreeLaw((0, 1, Fraction(1, 2), 4))
+    for seed in (0, 3, 5):
+        k = random_admissible_kernel(random.Random(seed), 3, 4)
+        rep = free_third_moment_oracle(k, skew)
+        assert rep.detail["coefficient"] == brute_free_third_coefficient(k, skew) != 0
+
+
 def test_free_third_oracle_refuses_uncentered_law():
     """phi(Y^3) = m3 for a one-entry degree-1 kernel: the oracle weighs by
     kappa_3, which equals m3 only for a centered law, so an uncentered law
@@ -338,6 +394,44 @@ def test_free_third_oracle_refuses_uncentered_law():
         free_third_moment_oracle(k, FreeLaw((1, 2, 5, 20)))
     rep = free_third_moment_oracle(k, FreeLaw((0, 2, 5, 20)))
     assert rep.value == 5 and type(rep.value) is Fraction
+
+
+# -- pinned reports ---------------------------------------------------------------------
+
+
+def test_free_reports_are_pinned():
+    """Whole JSON payloads, key order included, of free reports no benchmark
+    input reaches: odd orders with an irrational scale, a 3-block profile,
+    and a float law's rho part beside an exact pairing part."""
+    k2 = random_admissible_kernel(random.Random(4), 2, 5)
+    k3 = random_admissible_kernel(random.Random(1), 3, 5)
+    assert (k2.scale2, k3.scale2) == (Fraction(1, 87), Fraction(1, 805))
+    float_law = FreeLaw.from_fourth_moment(3.25)
+    reports = (
+        semicircular_moment(k2, 3),
+        semicircular_moment(k2, 5),
+        free_third_moment_oracle(k3, FreeLaw((0, 1, Fraction(1, 2), 4))),
+        free_fourth_moment_oracle(k3, float_law),
+        free_fourth_moment(k3, float_law),
+    )
+    want = (
+        '{"value": -0.024030108539467816, "method": "enumeration", "detail": {"pairings": 1, '
+        '"coefficient": "-13/58", "scale2": "1/87"}, "scaled_value": -0.06796741080362582}',
+        '{"value": -0.07107933298827994, "method": "enumeration", "detail": {"pairings": 6, '
+        '"coefficient": "-40145/60552", "scale2": "1/87"}, "scaled_value": -0.4020854268658353}',
+        '{"value": -0.00039404760196597345, "method": "enumeration", "detail": {"partitions": 1, '
+        '"coefficient": "-9/805", "by_block_sizes": {"2 +2 +2 +3": "-9/805"}}, '
+        '"scaled_value": -0.005791293355103763}',
+        '{"value": 0.09366364073459671, "method": "enumeration", "detail": {"partitions": 7, '
+        '"pairings": 4, "rho_count": 3, "pairing_part": "1268954/17496675", "rho_part": 0.02113820375871416, '
+        '"by_block_sizes": {"2 +2 +2 +2 +2 +2": "1268954/17496675", "2 +2 +2 +2 +4": 0.02113820375871416}}, '
+        '"scaled_value": 3.3718910664454818}',
+        '{"value": 0.09366364073459671, "method": "closed-form", "detail": {"semicircular": "1268954/17496675", '
+        '"kappa4": 1.25, "slice_fourth_sum": "338147/19996200", "correction": {"k=1": 0.007989175681474718, '
+        '"k=2": 0.002264573126036804, "k=3": 0.008640918560240731, "k=4": 0.00034093680180186613, '
+        '"k=5": 0.0019025995891600357}}, "scaled_value": 3.3718910664454818}',
+    )
+    assert [json.dumps(r.to_json()) for r in reports] == list(want)
 
 
 # -- difference identity ------------------------------------------------------------------
