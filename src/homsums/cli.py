@@ -154,7 +154,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float, default=0.5)
     p.add_argument("--q", type=int, default=1)
     p.add_argument("--base", default="gaussian")
-    p.add_argument("--seed", type=int, default=0, help="random seed (u64)")
+    p.add_argument("--seed", type=int, default=0, help="Philox key, 0 to 2**128 - 1")
     for p in sub.choices.values():
         p.add_argument("--out", default=None, help="output file (atomic write); default stdout")
     return parser

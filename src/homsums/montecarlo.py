@@ -5,12 +5,15 @@ sampler seed.  The stream depends on the sampler description and ``n``
 alone, not on the kernel or the row chunking: per batch of ``_BATCH`` rows
 it draws one bit per weight factor in (row, index, factor) order, then one
 sign bit per entry, then one normal per entry under a Gaussian law or base,
-each in (row, index) order (a law draws only the parts it has).  An entry's
-bits form one code, read from a table made by the law's formula, so entries
-equal the formulas bit for bit on any platform.  The sum runs on BLAS, so
-an estimate repeats bit-for-bit on one numpy build and may differ in its
-last bits on another.  The estimator is the plain empirical mean; the exact
-engines are the primary truth and this module is an independent check.
+each in (row, index) order (a law draws only the parts it has).  Bits come
+from whole 32-bit Philox words read low bit first (``_bits``): the bits,
+and the generator state, that numpy's ``integers(0, 2, dtype=bool)`` gives,
+which the reference tests pin.  An entry's bits form one code, read from a
+table made by the law's formula, so entries equal the formulas bit for bit
+on any platform.  The sum runs on BLAS, so an estimate repeats bit-for-bit
+on one numpy build and may differ in its last bits on another.  The
+estimator is the plain empirical mean; the exact engines are the primary
+truth and this module is an independent check.
 
 The sum is evaluated on a batch by nesting it over prefixes of the sorted
 support (``_horner_plan``): one matmul for the last index, then per earlier
@@ -60,6 +63,8 @@ class SamplerSpec:
     def __post_init__(self) -> None:
         if self.law not in LAW_IDS:
             raise UnknownSampler(f"unknown sampler {self.law!r}; known: {', '.join(LAW_IDS)}")
+        if not 0 <= self.seed < 1 << 128:  # a Philox key
+            raise HomsumError(f"seed must lie in 0..2**128 - 1, got {self.seed}")
         if self.sample_count < 1:
             raise HomsumError("sample_count must be positive")
         if self.law in ("two-point", "mixture-T", "product-TX"):
@@ -111,25 +116,52 @@ def _table(spec: SamplerSpec) -> np.ndarray:
     return t * s[:, q] if signed else t
 
 
+def _words(rng: np.random.Generator, count: int) -> np.ndarray:
+    """The bytes, low first, of the ``ceil(count / 32)`` whole 32-bit Philox
+    words that hold ``count`` bits."""
+    words = rng.integers(0, 1 << 32, size=-(-count // 32), dtype=np.uint32)
+    return words.astype("<u4", copy=False).view(np.uint8)
+
+
+def _bits(rng: np.random.Generator, count: int) -> np.ndarray:
+    """``count`` fair bits as uint8 0 or 1, read low bit first from whole
+    words: the bits ``rng.integers(0, 2, count, dtype=bool)`` gives, and the
+    state it leaves (numpy takes a bool from each bit of a 32-bit word in
+    turn, and Philox carries a spare half word over either way)."""
+    return np.unpackbits(_words(rng, count), count=count, bitorder="little")
+
+
+def _fields(rng: np.random.Generator, count: int, width: int, shift: int, dtype) -> np.ndarray:
+    """``count`` fields of ``width`` bits read low bit first from whole
+    words (field ``i`` holds bits ``i * width`` on), each shifted left by
+    ``shift``.  ``width`` divides 8, so a byte holds ``8 // width`` whole
+    fields and one lookup per byte gives them all."""
+    fields = np.arange(256, dtype=dtype)[:, None] >> np.arange(0, 8, width, dtype=dtype) & (1 << width) - 1
+    table = fields << shift
+    return table.take(_words(rng, count * width).astype(np.intp), axis=0).ravel()[:count]
+
+
 def _codes(rng: np.random.Generator, spec: SamplerSpec, shape) -> np.ndarray | None:
     """One bit per two-valued factor: ``shape + (q,)`` weight bits, then
-    ``shape`` sign bits, packed into one code per entry; ``None`` when the
-    law has no two-valued factor."""
+    ``shape`` sign bits, packed into one code per entry (bit ``j < q`` from
+    weight factor ``j``, bit ``q`` the sign); ``None`` when the law has no
+    two-valued factor."""
     q, signed, _ = _layout(spec)
-    if not q + signed:
-        return None
-    code = np.zeros(shape, np.min_scalar_type((1 << (q + signed)) - 1))
-    if q:
-        bits = rng.integers(0, 2, size=shape + (q,), dtype=np.bool_)
-        for j in reversed(range(q)):
+    count = math.prod(shape)
+    if not q:
+        return _bits(rng, count).reshape(shape) if signed else None
+    dtype = np.min_scalar_type((1 << (q + signed)) - 1)
+    if 8 % q:  # weight codes straddle bytes: build each from its bits
+        bits = _bits(rng, count * q).reshape(count, q)
+        code = bits[:, q - 1].astype(dtype)
+        for j in reversed(range(q - 1)):
             code <<= 1
-            code |= bits[..., j]
-        del bits
+            code |= bits[:, j]
+    else:
+        code = _fields(rng, count, q, 0, dtype)
     if signed:
-        sign = rng.integers(0, 2, size=shape, dtype=np.bool_).astype(code.dtype)
-        sign <<= q
-        code |= sign
-    return code
+        code |= _fields(rng, count, 1, q, dtype)
+    return code.reshape(shape)
 
 
 def _chunk(rng: np.random.Generator, spec: SamplerSpec, table, code, lo: int, hi: int, tail=()) -> np.ndarray:

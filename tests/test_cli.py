@@ -362,6 +362,19 @@ def test_sample_unknown_law(pair_file, capsys):
     assert code == 1 and "unknown sampler" in err
 
 
+@pytest.mark.parametrize(
+    "seed, ok", [(-1, False), (0, True), (2**128 - 1, True), (2**128, False)], ids=["-1", "0", "2^128-1", "2^128"]
+)
+def test_sample_seed_is_a_philox_key(pair_file, capsys, seed, ok):
+    """Seeds outside a Philox key's range 0..2**128 - 1 are refused with an
+    error line, not a numpy traceback; both ends of the range run."""
+    code, out, err = run(["sample", pair_file, "--law", "rademacher", "--count", "10", "--seed", str(seed)], capsys)
+    if ok:
+        assert code == 0 and json.loads(out)["seed"] == seed
+    else:
+        assert code == 1 and out == "" and err.startswith("error: seed must lie in 0..2**128 - 1")
+
+
 def test_out_file_written_atomically(tmp_path, pair_file, capsys):
     out_file = tmp_path / "est.json"
     code, _, _ = run(

@@ -265,6 +265,42 @@ def test_plan_weights_equal_the_fraction_formula_bit_for_bit(d):
         assert np.array_equal(got, want), name
 
 
+def philox_state(rng: np.random.Generator) -> tuple:
+    """Everything the generator carries between draws, spare half word
+    (``has_uint32``, ``uinteger``) included."""
+    s = rng.bit_generator.state
+    return (*(s["state"][k].tolist() for k in ("counter", "key")), s["buffer"].tolist(), s["buffer_pos"],
+            s["has_uint32"], s["uinteger"])
+
+
+def test_bits_are_the_bool_draw_at_word_boundaries():
+    """Consecutive runs of bits read from whole words equal numpy's bool
+    draws of the same lengths, and leave the generator where they leave it,
+    at and around every word boundary."""
+    mine, ref = montecarlo._generator(5), montecarlo._generator(5)
+    for count in [1, 31, 32, 33, 63, 64, 65, *(1285 * q for q in (1, 2, 3, 4))] * 2:
+        bits = montecarlo._bits(mine, count)
+        assert bits.dtype == np.uint8
+        assert np.array_equal(bits, ref.integers(0, 2, size=count, dtype=np.bool_)), count
+        assert philox_state(mine) == philox_state(ref), count
+    assert mine.standard_normal() == ref.standard_normal()
+
+
+@pytest.mark.parametrize("width", [1, 2, 4, 8])
+def test_fields_pack_the_bool_draw(width):
+    """Each field holds ``width`` consecutive bool draws, the first in its
+    low bit, shifted by ``shift``; the generator ends where the bool draw
+    leaves it."""
+    mine, ref = montecarlo._generator(6), montecarlo._generator(6)
+    for count, shift in itertools.product((1, 7, 33, 1285), (0, 3, 8)):
+        dtype = np.min_scalar_type((1 << (width + shift)) - 1)
+        got = montecarlo._fields(mine, count, width, shift, dtype)
+        bits = ref.integers(0, 2, size=(count, width), dtype=np.bool_)
+        assert got.dtype == dtype
+        assert np.array_equal(got, (bits.astype(np.int64) << np.arange(width)).sum(axis=1) << shift)
+        assert philox_state(mine) == philox_state(ref), (count, shift)
+
+
 @pytest.mark.parametrize("q", [1, 2, 3, 4])
 @pytest.mark.parametrize("base", montecarlo.BASE_IDS)
 @pytest.mark.parametrize("law", montecarlo.LAW_IDS)
@@ -313,6 +349,26 @@ def test_stream_depends_on_neither_kernel_nor_chunking(fields, monkeypatch):
         assert est.stderr == pytest.approx(runs[2][1].stderr, rel=1e-12)
     star = family_kernel(KernelFamily("star", 2), 12)
     assert np.array_equal(drawn_entries(monkeypatch, star, spec)[0], runs[2][0])
+
+
+@pytest.mark.parametrize("batch, count", [(montecarlo._BATCH, montecarlo._BATCH + 1000), (1003, 3 * 1003 + 500)])
+@pytest.mark.parametrize(
+    "fields", [{"law": "product-TX", "q": 2, "base": "rademacher"}, {"law": "two-point"}], ids=["product-TX", "two-point"]
+)
+def test_two_valued_stream_spans_batches(fields, batch, count, monkeypatch):
+    """Across batches, two-valued entries are the formulas' draws batch by
+    batch, bit for bit.  A draw of an odd number of 32-bit words leaves a
+    spare half of a 64-bit Philox output, which the next draw starts on.
+    With 2^16-row batches that happens only inside the last batch, between
+    product-TX's weight and sign bits; with 1003-row batches of 5 entries
+    it also happens across batch boundaries, under both laws."""
+    monkeypatch.setattr(montecarlo, "_BATCH", batch)
+    n = 5
+    spec = SamplerSpec(seed=13, sample_count=count, alpha=0.3, **fields)
+    x, _ = drawn_entries(monkeypatch, family_kernel(KernelFamily("off-diagonal-pair", 2), n), spec)
+    rng = montecarlo._generator(13)
+    sizes = [min(batch, count - lo) for lo in range(0, count, batch)]
+    assert np.array_equal(x, np.concatenate([formula_entries(rng, spec, (size, n)) for size in sizes]))
 
 
 def test_gaussian_stream_is_one_normal_draw(monkeypatch):
