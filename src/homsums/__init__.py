@@ -1,6 +1,8 @@
 """Exact fourth-moment engines for homogeneous sums in independent and
 freely independent random variables."""
 
+from types import ModuleType as _ModuleType
+
 from .errors import (
     AssumptionViolation,
     GroundCapExceeded,
@@ -74,4 +76,5 @@ from .verify import run_verification, verify_classical, verify_free, verify_iden
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the public names, not the submodules that importing them binds
+__all__ = [name for name in dir() if not name.startswith("_") and not isinstance(globals()[name], _ModuleType)]

@@ -128,7 +128,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", type=int, default=2, help="kernel degree for randomized suites")
     p.add_argument("--n", type=int, default=4, help="index range for randomized suites")
     p.add_argument("--cases", type=int, default=50, help="random kernels per identity")
-    p.add_argument("--seed", type=int, default=0, help="random seed (u64)")
+    p.add_argument("--seed", type=int, default=0, help="random.Random seed, any integer")
 
     p = sub.add_parser("analyze", help="sweep a kernel family, emitting diagnostics rows")
     p.add_argument("family", choices=FAMILY_IDS)

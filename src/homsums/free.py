@@ -1,7 +1,7 @@
 """Moments of free homogeneous sums: semicircular moments via non-crossing
 pairings, the fourth-moment contraction identity, the nested free-cumulant
 closed form, and the non-crossing partition oracle with its structural
-pairs-plus-one-four-block decomposition.
+pairs-plus-one-four-block decomposition, read from the class it contracts.
 
 The closed form's per-index slice moments are parent-kernel types whose
 slice index block is left unsummed; no slice kernel is built.
@@ -19,11 +19,10 @@ import math
 from fractions import Fraction
 from math import factorial
 
-from .contract import KernelContractor, canonical_type, partition_class_size, weighted_sum
+from .contract import KernelContractor, canonical_type, grouped_types, partition_class_size, weighted_sum
 from .errors import HomsumError
 from .kernels import Kernel, contraction_square_sum
 from .laws import FreeLaw
-from .partitions import rho_partitions
 from .reports import MomentReport, block_size_labels
 
 
@@ -126,10 +125,10 @@ def free_fourth_moment_oracle(kernel: Kernel, law: FreeLaw) -> MomentReport:
     of the 4d positions respecting the four groups with block sizes {2, 4},
     weight by blockwise free cumulants, and contract.
 
-    Also re-derives the structural decomposition from the class's block-size
-    profiles: only the pure pairings and the ``d`` single-four-block
-    partitions may appear, and the latter's contribution must equal
-    ``kappa_4`` times the slice fourth-moment sum.
+    Also re-derives the structural decomposition from that class: it must be
+    the pure pairings plus exactly ``d`` partitions with one four-block, and
+    the latter's contribution must equal ``kappa_4`` times the slice
+    fourth-moment sum.
     """
     law.require("free oracle", 2)
     d = kernel.d
@@ -137,9 +136,13 @@ def free_fourth_moment_oracle(kernel: Kernel, law: FreeLaw) -> MomentReport:
         raise HomsumError("free oracle needs degree >= 2")
     kappa = {2: law.kappa(2), 4: law.kappa(4)}
     _, value, by_sizes, n_partitions = _noncrossing(kernel, 4, kappa)
+    # every type is checked, zero-weight profiles too; at k = 4 a four-block
+    # meets every copy, so its mask is 15
+    types = grouped_types(d, frozenset(kappa), 4, True)
+    rho_count = sum(count for tkey, count in types if 15 in tkey)
+    if rho_count != d or any(tkey.count(15) > 1 for tkey, _ in types):
+        raise HomsumError(f"non-crossing {{2, 4}} class on [{4 * d}] is not pairings plus {d} rhos (bug)")
     pairing, rho = (2,) * (2 * d), (2,) * (2 * d - 2) + (4,)
-    if set(by_sizes) - {pairing, rho}:
-        raise HomsumError(f"non-crossing {{2, 4}} class on [{4 * d}] has profiles {sorted(by_sizes)} (bug)")
     # a zero-weight profile is skipped; 0 * kappa_4 keeps the law's number type
     pairing_part, rho_part = (by_sizes.get(sk, 0 * kappa[4]) for sk in (pairing, rho))
     expected_rho = kappa[4] * slice_fourth_sum(kernel) * kappa[2] ** (2 * d - 2)
@@ -147,7 +150,6 @@ def free_fourth_moment_oracle(kernel: Kernel, law: FreeLaw) -> MomentReport:
         raise HomsumError(
             "rho-partition contribution disagrees with the slice fourth-moment sum"
         )
-    rho_count = len(rho_partitions(d))  # asserts the class is pairings plus rhos
     detail = {
         "partitions": n_partitions,
         "pairings": n_partitions - rho_count,

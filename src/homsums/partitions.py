@@ -6,7 +6,9 @@ canonical form (blocks sorted by least element, elements ascending inside a
 block) so enumeration output is deterministic and directly comparable in
 golden tests.  ``cap_check`` bounds the ground set where a partition class is
 built: here in ``enumerate_partitions``, and in ``contract.grouped_types``
-for the classes the moment engines contract.
+for the classes the moment engines contract.  ``rho_partitions`` lists the
+free oracle's single-four-block partitions one by one, for its own callers:
+the oracle counts them from the class it contracts.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ def cap_check(ground: int) -> None:
 class Partition:
     """A partition of ``[m]`` into disjoint non-empty blocks."""
 
-    __slots__ = ("ground_size", "blocks", "_block_of")
+    __slots__ = ("ground_size", "blocks")
 
     def __init__(self, ground_size: int, blocks: Iterable[Iterable[int]]):
         canon = sorted(tuple(sorted(b)) for b in blocks)
@@ -50,10 +52,6 @@ class Partition:
             raise HomsumError("blocks do not cover the ground set")
         self.ground_size = ground_size
         self.blocks = tuple(canon)
-        self._block_of = {x: i for i, b in enumerate(canon) for x in b}
-
-    def block_index_of(self, x: int) -> int:
-        return self._block_of[x]
 
     def block_sizes(self) -> tuple[int, ...]:
         return tuple(sorted(len(b) for b in self.blocks))
@@ -119,21 +117,18 @@ class BlockProfile:
         object.__setattr__(self, "allowed_sizes", sizes)
 
 
-PAIRS_ONLY = BlockProfile({2})
-PAIRS_AND_FOURS = BlockProfile({2, 4})
-
-
 def is_noncrossing(p: Partition) -> bool:
     """True iff no quadruple ``i<j<k<l`` with ``i~k``, ``j~l``, ``j!~k``.
 
     Implemented by the linear stack scan: an element continuing a block must
     find that block on top of the open-block stack.
     """
+    block_of = {x: i for i, b in enumerate(p.blocks) for x in b}
     first = {b[0]: i for i, b in enumerate(p.blocks)}
     last = {b[-1]: i for i, b in enumerate(p.blocks)}
     stack: list[int] = []
     for x in range(1, p.ground_size + 1):
-        b = p.block_index_of(x)
+        b = block_of[x]
         if first.get(x) == b:
             stack.append(b)
         if stack[-1] != b:
@@ -256,7 +251,7 @@ def enumerate_partitions(
 def _rho_cached(d: int) -> tuple[Partition, ...]:
     m = 4 * d
     pattern = IntervalPattern(d, 4)
-    full = enumerate_partitions(m, PAIRS_AND_FOURS, pattern, noncrossing=True)
+    full = enumerate_partitions(m, BlockProfile({2, 4}), pattern, noncrossing=True)
     rhos = sorted(
         (p for p in full if not p.is_pairing()),
         key=lambda p: [b for b in p.blocks if len(b) == 4],
@@ -266,7 +261,7 @@ def _rho_cached(d: int) -> tuple[Partition, ...]:
     if fours != want:
         raise HomsumError(f"rho 4-blocks for d={d} are {fours}, not {want} (bug)")
     # disjoint-union identity: the 2,4-class is the pairings plus the rhos
-    pair_part = set(enumerate_partitions(m, PAIRS_ONLY, pattern, noncrossing=True))
+    pair_part = set(enumerate_partitions(m, BlockProfile({2}), pattern, noncrossing=True))
     if set(full) != pair_part | set(rhos) or len(full) != len(pair_part) + d:
         raise HomsumError(f"rho decomposition identity failed for d={d}")
     return tuple(rhos)

@@ -2,12 +2,16 @@
 invariants, runnable from the CLI and reused by the acceptance tests.
 
 All identities are exact in exact mode: a check fails on any nonzero
-deviation, and the first failing case is serialized for replay.
+deviation, and the first failing case is serialized for replay.  An engine
+that raises ``HomsumError`` fails a check too, instead of stopping the run:
+the rho check in the partitions suite, and elsewhere "engines raise no
+HomsumError", which a report lists only once it has failed.
 """
 
 from __future__ import annotations
 
 import random
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb, factorial
@@ -19,6 +23,7 @@ from .classical import (
     gaussian_fourth_moment,
     mixture_identity_check,
 )
+from .errors import HomsumError
 from .free import (
     free_difference_identity,
     free_fourth_moment,
@@ -40,6 +45,7 @@ from .reports import jsonable
 
 CLASSICAL_M4 = (Fraction(1), Fraction(2), Fraction(3), Fraction(9, 2))
 FREE_KAPPA4 = (Fraction(-1), Fraction(0), Fraction(1), Fraction(3))
+ENGINES_CHECK = "engines raise no HomsumError"
 
 
 @dataclass
@@ -141,7 +147,11 @@ def verify_partitions() -> VerificationReport:
 
     rho = IdentityCheck("rho partitions: unique completions, disjoint-union counts")
     for d in (2, 3):
-        rhos = rho_partitions(d)  # self-asserts uniqueness and the decomposition
+        try:
+            rhos = rho_partitions(d)  # self-asserts uniqueness and the decomposition
+        except HomsumError as exc:
+            rho.record(False, 0.0, {"d": d, "error": str(exc)})
+            continue
         pattern = IntervalPattern(d, 4)
         full = enumerate_partitions(4 * d, BlockProfile({2, 4}), pattern, noncrossing=True)
         pure = enumerate_partitions(4 * d, pairs, pattern, noncrossing=True)
@@ -168,6 +178,20 @@ def _case(kernel: Kernel, extra: dict) -> Callable[[], dict]:
     return lambda: {"kernel": kernel.to_json(), **extra}
 
 
+@contextmanager
+def _engine_case(engines: IdentityCheck, kernel: Kernel, **law):
+    """Run one case's engine calls, counted on ``engines``.  The body writes
+    the law parameters it is on into the yielded dict.  A ``HomsumError``
+    ends the case and fails ``engines``, with the kernel, those parameters
+    and the error text as the replay case."""
+    try:
+        yield law
+    except HomsumError as exc:
+        engines.record(False, 0.0, _case(kernel, {**law, "error": str(exc)}))
+    else:
+        engines.record(True)
+
+
 def verify_classical(
     d: int = 2,
     n: int = 4,
@@ -183,34 +207,41 @@ def verify_classical(
     monotone = IdentityCheck("fourth moment monotone in the entry law when chi4 >= 0")
     scale_cov = IdentityCheck("scaling the kernel by c scales the fourth moment by c^4")
     relabel_inv = IdentityCheck("index relabeling leaves the fourth moment unchanged")
+    engines = IdentityCheck(ENGINES_CHECK)
     laws = [ClassicalLaw.from_fourth_moment(m4) for m4 in CLASSICAL_M4]
     for _ in range(cases):
+        # every draw of the case comes first, so a case that raises leaves
+        # the next cases' draws as they are
         kernel = random_admissible_kernel(rng, d, n)
-        gauss = gaussian_fourth_moment(kernel).value
-        positive.record(gauss - 3 >= 0, _dev(gauss, 3), _case(kernel, {"E4_gaussian": gauss}))
-        for law in laws:
-            lhs = classical_fourth_moment_formula(kernel, law).value
-            rhs = classical_fourth_moment_oracle(kernel, law).value
-            agree.record(
-                lhs == rhs,
-                _dev(lhs, rhs),
-                _case(kernel, {"m4": law.moment(4), "formula": lhs, "oracle": rhs}),
-            )
-            if law.chi(4) >= 0:
-                monotone.record(
-                    lhs >= gauss, _dev(lhs, gauss), _case(kernel, {"m4": law.moment(4)})
-                )
         c = Fraction(rng.randint(1, 5), rng.randint(1, 5))
-        law = laws[-1]
-        scaled = classical_fourth_moment_formula(kernel.scaled(c), law).value
-        base = classical_fourth_moment_formula(kernel, law).value
-        scale_cov.record(scaled == c**4 * base, _dev(scaled, c**4 * base), _case(kernel, {"c": c}))
         perm = list(range(1, n + 1))
         rng.shuffle(perm)
-        permuted = kernel.relabel({i + 1: p for i, p in enumerate(perm)})
-        relabeled = classical_fourth_moment_formula(permuted, law).value
-        relabel_inv.record(relabeled == base, _dev(relabeled, base), _case(kernel, {"perm": perm}))
+        with _engine_case(engines, kernel) as on_law:
+            gauss = gaussian_fourth_moment(kernel).value
+            positive.record(gauss - 3 >= 0, _dev(gauss, 3), _case(kernel, {"E4_gaussian": gauss}))
+            for law in laws:
+                on_law["m4"] = law.moment(4)
+                lhs = classical_fourth_moment_formula(kernel, law).value
+                rhs = classical_fourth_moment_oracle(kernel, law).value
+                agree.record(
+                    lhs == rhs,
+                    _dev(lhs, rhs),
+                    _case(kernel, {"m4": law.moment(4), "formula": lhs, "oracle": rhs}),
+                )
+                if law.chi(4) >= 0:
+                    monotone.record(
+                        lhs >= gauss, _dev(lhs, gauss), _case(kernel, {"m4": law.moment(4)})
+                    )
+            law = laws[-1]
+            scaled = classical_fourth_moment_formula(kernel.scaled(c), law).value
+            base = classical_fourth_moment_formula(kernel, law).value
+            scale_cov.record(scaled == c**4 * base, _dev(scaled, c**4 * base), _case(kernel, {"c": c}))
+            permuted = kernel.relabel({i + 1: p for i, p in enumerate(perm)})
+            relabeled = classical_fourth_moment_formula(permuted, law).value
+            relabel_inv.record(relabeled == base, _dev(relabeled, base), _case(kernel, {"perm": perm}))
     report.checks.extend([agree, positive, monotone, scale_cov, relabel_inv])
+    if not engines.ok:
+        report.checks.append(engines)
     return report
 
 
@@ -228,33 +259,38 @@ def verify_free(
     contraction = IdentityCheck("contraction identity == pairing enumeration")
     positive = IdentityCheck("semicircular scaled fourth moment >= 2")
     monotone = IdentityCheck("free fourth moment monotone when kappa4 >= 0")
+    engines = IdentityCheck(ENGINES_CHECK)
     laws = [FreeLaw.from_fourth_moment(k4 + 2) for k4 in FREE_KAPPA4]
     dfact2 = factorial(d) ** 2
     for _ in range(cases):
         kernel = random_admissible_kernel(rng, d, n)
-        semi_enum = semicircular_moment(kernel, 4).value
-        semi_contr = semicircular_fourth_moment_contraction(kernel).value
-        contraction.record(
-            semi_enum == semi_contr,
-            _dev(semi_enum, semi_contr),
-            _case(kernel, {"enumeration": semi_enum, "contraction": semi_contr}),
-        )
-        positive.record(
-            dfact2 * semi_contr >= 2,
-            _dev(dfact2 * semi_contr, 2),
-            _case(kernel, {"scaled": dfact2 * semi_contr}),
-        )
-        for law in laws:
-            lhs = free_fourth_moment(kernel, law).value
-            rhs = free_fourth_moment_oracle(kernel, law).value
-            agree.record(
-                lhs == rhs,
-                _dev(lhs, rhs),
-                _case(kernel, {"phi4": law.moment(4), "formula": lhs, "oracle": rhs}),
+        with _engine_case(engines, kernel) as on_law:
+            semi_enum = semicircular_moment(kernel, 4).value
+            semi_contr = semicircular_fourth_moment_contraction(kernel).value
+            contraction.record(
+                semi_enum == semi_contr,
+                _dev(semi_enum, semi_contr),
+                _case(kernel, {"enumeration": semi_enum, "contraction": semi_contr}),
             )
-            if law.kappa(4) >= 0:
-                monotone.record(lhs >= semi_contr, _dev(lhs, semi_contr), _case(kernel, {}))
+            positive.record(
+                dfact2 * semi_contr >= 2,
+                _dev(dfact2 * semi_contr, 2),
+                _case(kernel, {"scaled": dfact2 * semi_contr}),
+            )
+            for law in laws:
+                on_law["phi4"] = law.moment(4)
+                lhs = free_fourth_moment(kernel, law).value
+                rhs = free_fourth_moment_oracle(kernel, law).value
+                agree.record(
+                    lhs == rhs,
+                    _dev(lhs, rhs),
+                    _case(kernel, {"phi4": law.moment(4), "formula": lhs, "oracle": rhs}),
+                )
+                if law.kappa(4) >= 0:
+                    monotone.record(lhs >= semi_contr, _dev(lhs, semi_contr), _case(kernel, {}))
     report.checks.extend([agree, contraction, positive, monotone])
+    if not engines.ok:
+        report.checks.append(engines)
     return report
 
 
@@ -273,27 +309,32 @@ def verify_identities(
     report = VerificationReport("identities")
     mixture = IdentityCheck("mixture separation identity (exact)")
     difference = IdentityCheck("two-law fourth-cumulant difference identity (exact)")
+    engines = IdentityCheck(ENGINES_CHECK)
     for _ in range(cases):
         kernel = random_admissible_kernel(rng, d, n)
         if include in ("both", "mixture"):
             law = rng.choice(classical_laws)
             t = [Fraction(rng.randint(1, 9), rng.randint(1, 9)) for _ in range(n)]
-            res = mixture_identity_check(kernel, law, t)
-            mixture.record(
-                res["equal"] and res["oracle_agrees"] in (True, None),
-                _dev(res["lhs"], res["rhs"]),
-                _case(kernel, {"t": t}),
-            )
+            with _engine_case(engines, kernel, m4=law.moment(4), t=t):
+                res = mixture_identity_check(kernel, law, t)
+                mixture.record(
+                    res["equal"] and res["oracle_agrees"] in (True, None),
+                    _dev(res["lhs"], res["rhs"]),
+                    _case(kernel, {"t": t}),
+                )
         if include in ("both", "difference"):
             law_a = free_laws[rng.randint(1, 8)]
             law_b = free_laws[rng.randint(1, 8)]
-            res = free_difference_identity(kernel, law_a, law_b)
-            difference.record(
-                res["equal"],
-                _dev(res["lhs"], res["rhs"]),
-                _case(kernel, {"phi4_A": law_a.moment(4), "phi4_B": law_b.moment(4)}),
-            )
+            with _engine_case(engines, kernel, phi4_A=law_a.moment(4), phi4_B=law_b.moment(4)):
+                res = free_difference_identity(kernel, law_a, law_b)
+                difference.record(
+                    res["equal"],
+                    _dev(res["lhs"], res["rhs"]),
+                    _case(kernel, {"phi4_A": law_a.moment(4), "phi4_B": law_b.moment(4)}),
+                )
     report.checks.extend(c for c in (mixture, difference) if c.cases)
+    if not engines.ok:
+        report.checks.append(engines)
     return report
 
 

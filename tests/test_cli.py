@@ -7,9 +7,11 @@ import shlex
 import sys
 from fractions import Fraction
 from pathlib import Path
+from types import ModuleType
 
 import pytest
 
+import homsums
 from homsums import (
     ClassicalLaw,
     FreeLaw,
@@ -90,6 +92,19 @@ def test_readme_cli_lines_parse():
         assert parser.parse_args(argv).command == argv[0]
 
 
+def test_readme_tour_star_import_binds_no_submodule():
+    """``from homsums import *``, as the README tour runs it, binds the 63
+    public names (every function, class and constant the package exports)
+    and none of the submodules that importing them binds."""
+    tour = re.search(r"## Library tour\n.*?```python\n(.*?)```", README.read_text(), re.S).group(1)
+    namespace: dict = {}
+    exec(tour, namespace)
+    assert not [name for name, value in namespace.items() if isinstance(value, ModuleType) and name != "__builtins__"]
+    public = [name for name in dir(homsums) if not name.startswith("_")]
+    assert homsums.__all__ == [name for name in public if not isinstance(getattr(homsums, name), ModuleType)]
+    assert len(homsums.__all__) == 63 and {"contract", "free", "verify"} <= set(public)
+
+
 # -- law spec parsing -----------------------------------------------------------
 
 
@@ -124,6 +139,12 @@ def test_verify_partitions_scope(capsys):
     payload = json.loads(out)
     assert payload["pass"] is True
     assert "[ok]" in err
+
+
+def test_verify_seed_is_any_integer(capsys):
+    code, out, _ = run(["verify", "--scope", "classical", "--cases", "1", "--seed", "-1"], capsys)
+    assert code == 0 and json.loads(out)["pass"] is True
+    assert "any integer" in build_parser()._subparsers._group_actions[0].choices["verify"].format_help()
 
 
 def test_verify_writes_report_file(tmp_path, capsys):

@@ -7,6 +7,8 @@ recursion and test crossings by the raw quadruple definition, sharing no code
 with the engines.
 """
 
+import ast
+import inspect
 import itertools
 import json
 import random
@@ -33,7 +35,7 @@ from homsums import (
     semicircular_moment,
     slice_fourth_sum,
 )
-from homsums import contract, free
+from homsums import contract, free, partitions
 from homsums.contract import (
     KernelContractor,
     cumulant_weight,
@@ -344,6 +346,42 @@ def test_free_oracle_contracts_one_class(monkeypatch):
                 rep = free_fourth_moment_oracle(kernel, law)
                 assert len(calls) == 1
                 assert repr(rep.detail) == repr(oracle_detail_by_two_classes(kernel, law))
+
+
+def test_free_oracle_counts_rhos_in_the_class_it_contracts(monkeypatch):
+    """``free`` imports nothing from ``partitions``: with the partition-level
+    rho listing patched to raise, the oracle's detail is still the two-class
+    assembly's, rho count included, also where kappa_4 = 0."""
+    imports = {n.module for n in ast.walk(ast.parse(inspect.getsource(free))) if isinstance(n, ast.ImportFrom)}
+    assert "partitions" not in imports
+    laws = (FreeLaw.free_rademacher(), FreeLaw.semicircle(), FreeLaw.from_fourth_moment(3))
+    draws = [(d, n, law) for d in (2, 3, 4) for n in (4, 5) for law in laws]
+    kernel = lambda d, n: random_admissible_kernel(random.Random(d * n), d, n)
+    want = [repr(oracle_detail_by_two_classes(kernel(d, n), law)) for d, n, law in draws]
+
+    def refuse(d):
+        raise AssertionError("the oracle listed the rho partitions")
+
+    monkeypatch.setattr(partitions, "rho_partitions", refuse)
+    assert [repr(free_fourth_moment_oracle(kernel(d, n), law).detail) for d, n, law in draws] == want
+
+
+@pytest.mark.parametrize("rhos", [(((15, 15), 2),), ()], ids=["two-four-blocks", "no-rhos"])
+def test_free_oracle_refuses_a_class_not_pairs_plus_rhos(monkeypatch, rhos):
+    """The split is checked on the whole class, so a semicircular law, whose
+    zero-weight rho profile is never contracted, is refused too: a type with
+    two four-blocks (mask 15) fails though the rho count is d, and a class
+    without its rhos fails on the count."""
+    real = contract.grouped_types
+
+    def grouped_types(d, sizes, k, noncrossing):
+        return tuple((t, c) for t, c in real(d, sizes, k, noncrossing) if 15 not in t) + rhos
+
+    monkeypatch.setattr(free, "grouped_types", grouped_types)
+    kernel = random_admissible_kernel(random.Random(3), 2, 4)
+    for law in (FreeLaw.free_rademacher(), FreeLaw.semicircle()):
+        with pytest.raises(HomsumError, match=r"class on \[8\] is not pairings plus 2 rhos \(bug\)"):
+            free_fourth_moment_oracle(kernel, law)
 
 
 @pytest.mark.parametrize("d, n", [(5, 6), (5, 8), (6, 7)])

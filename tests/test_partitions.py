@@ -194,6 +194,12 @@ def test_partition_json_is_sorted():
     assert p.to_json() == [[1, 2], [3, 4]]
 
 
+def test_partition_holds_its_ground_size_and_blocks_alone():
+    """No per-partition block map: ``is_noncrossing``, its one reader, builds
+    its own."""
+    assert Partition.__slots__ == ("ground_size", "blocks")
+
+
 def test_rho_partitions_d2_exact():
     rhos = rho_partitions(2)
     assert rhos[0] == Partition(8, [(1, 4, 5, 8), (2, 3), (6, 7)])

@@ -1,11 +1,23 @@
 """The randomized verification suites themselves."""
 
+import json
+import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
-from homsums import run_verification, verify
-from homsums.verify import IdentityCheck, verify_identities
+from homsums import (
+    ClassicalLaw,
+    HomsumError,
+    Kernel,
+    classical_fourth_moment_formula,
+    random_admissible_kernel,
+    run_verification,
+    verify,
+)
+from homsums.cli import main
+from homsums.verify import ENGINES_CHECK, IdentityCheck, verify_identities
 
 
 def test_full_verification_passes_small():
@@ -62,3 +74,85 @@ def test_verify_identities_cases_are_pinned(monkeypatch):
         ((0, 1, 0, 1), 5 * half, 7 * half),
     ]
     assert all(type(m) is Fraction for moments, *_ in draws for m in moments)
+
+
+@pytest.mark.parametrize(
+    "scope, identities",
+    [
+        ("classical", ["mixture separation identity (exact)"]),
+        ("free", ["two-law fourth-cumulant difference identity (exact)"]),
+        ("partitions", None),
+    ],
+)
+def test_each_scope_runs_its_own_identity(scope, identities):
+    """A classical or free scope adds an identities report with its own
+    identity alone; the partitions scope adds none."""
+    reports = run_verification(scope, cases=2, seed=3)
+    assert all(r.ok for r in reports)
+    got = [[c.name for c in r.checks] for r in reports if r.scope == "identities"]
+    assert got == ([identities] if identities else [])
+
+
+def test_failing_case_replays_from_its_json(monkeypatch):
+    """With the classical oracle off by 1/7, the agreement check fails on
+    every case, and its first failing case, read back from the JSON alone,
+    gives the drawn kernel and the closed form's value under its law."""
+    real = verify.classical_fourth_moment_oracle
+    monkeypatch.setattr(
+        verify,
+        "classical_fourth_moment_oracle",
+        lambda kernel, law: SimpleNamespace(value=real(kernel, law).value + Fraction(1, 7)),
+    )
+    report = run_verification("classical", cases=2, seed=3)[0]
+    agree = json.loads(json.dumps(report.to_json()))["checks"][0]
+    assert agree["pass"] is False and agree["failures"] == agree["cases"] == 8
+    case = agree["failing_case"]
+    kernel = Kernel.from_json(case["kernel"])
+    assert kernel == random_admissible_kernel(random.Random(3), 2, 4)
+    law = ClassicalLaw.from_fourth_moment(Fraction(case["m4"]))
+    assert str(classical_fourth_moment_formula(kernel, law).value) == case["formula"]
+    assert Fraction(case["oracle"]) - Fraction(case["formula"]) == Fraction(1, 7)
+
+
+def test_engine_error_fails_a_recorded_check(monkeypatch, capsys):
+    """A HomsumError from an engine fails "engines raise no HomsumError",
+    with the kernel, the law and the error text to replay, and the run goes
+    on: each case ends at the error, the next case draws as before, and the
+    CLI prints the JSON and exits 1.  A report without an error does not
+    list the check."""
+    real = verify.free_fourth_moment_oracle
+
+    def oracle(kernel, law):
+        if law.kappa(4) == 1:
+            raise HomsumError("oracle mutant")
+        return real(kernel, law)
+
+    monkeypatch.setattr(verify, "free_fourth_moment_oracle", oracle)
+    free, identities = run_verification("free", cases=3, seed=0)
+    checks = {c.name: c for c in free.checks}
+    engines = checks[ENGINES_CHECK]
+    assert (engines.cases, engines.failures) == (3, 3) and not free.ok
+    assert free.checks[0].cases == 3 * 2  # agreement at kappa4 = -1 and 0, before the error
+    case = json.loads(json.dumps(engines.to_json()))["failing_case"]
+    assert Kernel.from_json(case["kernel"]) == random_admissible_kernel(random.Random(0), 2, 4)
+    assert (case["phi4"], case["error"]) == ("3", "oracle mutant")
+    assert identities.ok and ENGINES_CHECK not in [c.name for c in identities.checks]
+
+    assert main(["verify", "--scope", "free", "--cases", "3"]) == 1
+    out, err = capsys.readouterr()
+    payload = json.loads(out)
+    assert payload["pass"] is False
+    assert payload["reports"][0]["checks"][-1] == json.loads(json.dumps(engines.to_json()))
+    assert f"[FAIL] free: {ENGINES_CHECK} (3 cases)" in err
+
+
+def test_rho_partitions_error_fails_the_rho_check(monkeypatch):
+    def rho_partitions(d):
+        raise HomsumError(f"rho mutant at d={d}")
+
+    monkeypatch.setattr(verify, "rho_partitions", rho_partitions)
+    (report,) = run_verification("partitions")
+    rho = report.checks[-1]
+    assert rho.name.startswith("rho partitions") and (rho.cases, rho.failures) == (2, 2)
+    assert rho.failing_case == {"d": 2, "error": "rho mutant at d=2"}
+    assert [c.name for c in report.checks if not c.ok] == [rho.name]
