@@ -276,6 +276,24 @@ def test_moments_rejects_classical_order_three(pair_file, capsys):
     assert code == 1 and "orders 2 and 4" in err
 
 
+@pytest.mark.parametrize(
+    "regime, law, orders, message",
+    [
+        ("classical", "gaussian", "1", "classical reports cover orders 2 and 4"),
+        ("classical", "gaussian", "2,5", "classical reports cover orders 2 and 4"),
+        ("free", "semicircle", "1", "free reports cover orders 2, 3 and 4"),
+        ("free", "semicircle", "2,3,5", "free reports cover orders 2, 3 and 4"),
+    ],
+)
+def test_moments_refuses_orders_outside_its_regime(pair_file, capsys, regime, law, orders, message):
+    """An order the regime does not report exits 1 with one error line and
+    prints no payload, even when the orders before it were reported."""
+    code, out, err = run(
+        ["moments", pair_file, "--law", law, "--regime", regime, "--orders", orders], capsys
+    )
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
 def test_moments_free_order_three_beyond_the_ground_cap(tmp_path, capsys):
     """Order 3 at degree 9 needs partitions of [27]: the oracle's own ground
     cap check refuses it, and the exit code is 1."""
