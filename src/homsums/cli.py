@@ -32,7 +32,7 @@ from .free import (
     free_second_moment,
     free_third_moment_oracle,
 )
-from .kernels import FAMILY_IDS, Kernel
+from .kernels import FAMILY_IDS, Kernel, KernelFamily
 from .laws import ClassicalLaw, FreeLaw
 from .montecarlo import SamplerSpec, estimate_moment
 from .reports import MomentReport
@@ -176,8 +176,6 @@ def cmd_verify(args) -> int:
 def cmd_analyze(args) -> int:
     law = parse_law(args.law, args.regime)
     n_min = args.n_min
-    from .kernels import KernelFamily
-
     family = KernelFamily(args.family, args.d)
     if n_min is None:
         n_min = max(family.min_n, 2)
@@ -199,42 +197,23 @@ def cmd_analyze(args) -> int:
 
 
 def _moment_reports(kernel: Kernel, law, regime: str, order: int) -> list[MomentReport]:
-    oracle_ok = oracle_runs(kernel.d)
+    """The reports of one order, from the regime's engines.  They are looked
+    up at call time: ``perfbench/tracer.py`` rebinds these module names."""
     if regime == "classical":
-        if order == 2:
-            return [
-                MomentReport(
-                    value=classical_second_moment(kernel),
-                    method="closed-form",
-                    detail={"identity": "d! * sum(f^2)"},
-                    order=2,
-                )
-            ]
-        if order == 4:
-            out = [classical_fourth_moment_formula(kernel, law)]
-            if oracle_ok:
-                out.append(classical_fourth_moment_oracle(kernel, law))
-            return out
-        raise HomsumError("classical reports cover orders 2 and 4")
+        second, identity, covered = classical_second_moment, "d! * sum(f^2)", "2 and 4"
+        formula, oracle = classical_fourth_moment_formula, classical_fourth_moment_oracle
+    else:
+        second, identity, covered = free_second_moment, "sum(f^2)", "2, 3 and 4"
+        formula, oracle = free_fourth_moment, free_fourth_moment_oracle
     if order == 2:
-        v = free_second_moment(kernel)
-        return [
-            MomentReport(
-                value=v,
-                method="closed-form",
-                detail={"identity": "sum(f^2)"},
-                order=2,
-                scaled_value=v * math.factorial(kernel.d),
-            )
-        ]
-    if order == 3:
+        v = second(kernel)
+        scaled = v * math.factorial(kernel.d) if regime == "free" else None
+        return [MomentReport(v, "closed-form", {"identity": identity}, order=2, scaled_value=scaled)]
+    if order == 3 and regime == "free":
         return [free_third_moment_oracle(kernel, law)]
     if order == 4:
-        out = [free_fourth_moment(kernel, law)]
-        if oracle_ok:
-            out.append(free_fourth_moment_oracle(kernel, law))
-        return out
-    raise HomsumError("free reports cover orders 2, 3 and 4")
+        return [formula(kernel, law)] + ([oracle(kernel, law)] if oracle_runs(kernel.d) else [])
+    raise HomsumError(f"{regime} reports cover orders {covered}")
 
 
 def cmd_moments(args) -> int:

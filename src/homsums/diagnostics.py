@@ -3,7 +3,6 @@ diagnostics rendered as rows for CSV/JSON output."""
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import factorial
 from typing import Iterable, Sequence
 
@@ -57,7 +56,7 @@ def analyze_family(
 def sweep_summary(rows: Iterable[DiagnosticsRow]) -> dict:
     """Descriptive convergence flags; no limit claims."""
     rows = list(rows)
-    gaps = [Fraction(r.gap) if isinstance(r.gap, Fraction) else r.gap for r in rows]
+    gaps = [r.gap for r in rows]
     decreasing = all(gaps[i] > gaps[i + 1] for i in range(len(gaps) - 1))
     positive = all(r.fourth_cumulant_scaled > 0 for r in rows)
     return {

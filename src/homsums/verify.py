@@ -2,10 +2,12 @@
 invariants, runnable from the CLI and reused by the acceptance tests.
 
 All identities are exact in exact mode: a check fails on any nonzero
-deviation, and the first failing case is serialized for replay.  An engine
-that raises ``HomsumError`` fails a check too, instead of stopping the run:
-the rho check in the partitions suite, and elsewhere "engines raise no
-HomsumError", which a report lists only once it has failed.
+deviation, and the first failing case is serialized for replay.  Every
+randomized case runs through one runner, ``VerificationReport.case``, which
+counts it on the report's "engines raise no HomsumError" check.  An engine
+that raises ``HomsumError`` ends the case and fails that check instead of
+stopping the run, and the report lists the check from its first failure on.
+In the partitions suite, an error from ``rho_partitions`` fails the rho check.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import random
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, prod
 from typing import Callable
 
 from .classical import (
@@ -72,6 +74,14 @@ class IdentityCheck:
             if self.failing_case is None:
                 self.failing_case = case() if callable(case) else case
 
+    def equal(self, a, b, case: Callable[[], dict]) -> None:
+        """Count one case of ``a == b``."""
+        self.record(a == b, _dev(a, b), case)
+
+    def at_least(self, a, b, case: Callable[[], dict]) -> None:
+        """Count one case of ``a >= b``."""
+        self.record(a >= b, _dev(a, b), case)
+
     def to_json(self) -> dict:
         out = {
             "name": self.name,
@@ -89,10 +99,33 @@ class IdentityCheck:
 class VerificationReport:
     scope: str
     checks: list[IdentityCheck] = field(default_factory=list)
+    engines: IdentityCheck = field(default_factory=lambda: IdentityCheck(ENGINES_CHECK))
 
     @property
     def ok(self) -> bool:
         return all(c.ok for c in self.checks)
+
+    def add(self, *names: str) -> list[IdentityCheck]:
+        """New checks, listed in this order."""
+        checks = [IdentityCheck(name) for name in names]
+        self.checks.extend(checks)
+        return checks
+
+    @contextmanager
+    def case(self, kernel: Kernel, **law):
+        """Run one case's engine calls, counted on ``engines``.  The body
+        writes the law parameters it is on into the yielded dict.  A
+        ``HomsumError`` ends the case and fails ``engines``, with the kernel,
+        those parameters and the error text as the replay case; ``engines``
+        joins ``checks`` at its first failure."""
+        try:
+            yield law
+        except HomsumError as exc:
+            if self.engines.ok:
+                self.checks.append(self.engines)
+            self.engines.record(False, 0.0, _case(kernel, {**law, "error": str(exc)}))
+        else:
+            self.engines.record(True)
 
     def to_json(self) -> dict:
         return {
@@ -102,36 +135,28 @@ class VerificationReport:
         }
 
 
-def _double_factorial(m: int) -> int:
-    out = 1
-    while m > 1:
-        out *= m
-        m -= 2
-    return out
-
-
 def verify_partitions() -> VerificationReport:
     """Counting identities (ground sets up to 10) and predicate cross-checks
     for the partition engine, with the rho decomposition at d = 2, 3."""
     report = VerificationReport("partitions")
+    counts, catalan, filt, rho = report.add(
+        "pairing count is (m-1)!! for even m, 0 for odd m",
+        "non-crossing pairing count is Catalan C_{m/2}",
+        "constrained enumeration equals post-filtering",
+        "rho partitions: unique completions, disjoint-union counts",
+    )
     pairs = BlockProfile({2})
-
-    counts = IdentityCheck("pairing count is (m-1)!! for even m, 0 for odd m")
     for m in range(2, 11):
         got = len(enumerate_partitions(m, pairs))
-        want = _double_factorial(m - 1) if m % 2 == 0 else 0
+        want = prod(range(m - 1, 0, -2)) if m % 2 == 0 else 0
         counts.record(got == want, abs(got - want), {"m": m, "got": got, "want": want})
-    report.checks.append(counts)
 
-    catalan = IdentityCheck("non-crossing pairing count is Catalan C_{m/2}")
     for m in range(2, 11, 2):
         got = len(enumerate_partitions(m, pairs, noncrossing=True))
         k = m // 2
         want = comb(2 * k, k) // (k + 1)
         catalan.record(got == want, abs(got - want), {"m": m, "got": got, "want": want})
-    report.checks.append(catalan)
 
-    filt = IdentityCheck("constrained enumeration equals post-filtering")
     for d, k in ((2, 4), (1, 6), (3, 2)):
         m = d * k
         pattern = IntervalPattern(d, k)
@@ -143,9 +168,7 @@ def verify_partitions() -> VerificationReport:
             if respects(p, pattern) and is_noncrossing(p)
         ]
         filt.record(direct == sorted(filtered), 0.0, {"d": d, "k": k})
-    report.checks.append(filt)
 
-    rho = IdentityCheck("rho partitions: unique completions, disjoint-union counts")
     for d in (2, 3):
         try:
             rhos = rho_partitions(d)  # self-asserts uniqueness and the decomposition
@@ -162,7 +185,6 @@ def verify_partitions() -> VerificationReport:
             and len(full) == len(pure) + d
         )
         rho.record(ok, 0.0, {"d": d})
-    report.checks.append(rho)
     return report
 
 
@@ -178,20 +200,6 @@ def _case(kernel: Kernel, extra: dict) -> Callable[[], dict]:
     return lambda: {"kernel": kernel.to_json(), **extra}
 
 
-@contextmanager
-def _engine_case(engines: IdentityCheck, kernel: Kernel, **law):
-    """Run one case's engine calls, counted on ``engines``.  The body writes
-    the law parameters it is on into the yielded dict.  A ``HomsumError``
-    ends the case and fails ``engines``, with the kernel, those parameters
-    and the error text as the replay case."""
-    try:
-        yield law
-    except HomsumError as exc:
-        engines.record(False, 0.0, _case(kernel, {**law, "error": str(exc)}))
-    else:
-        engines.record(True)
-
-
 def verify_classical(
     d: int = 2,
     n: int = 4,
@@ -202,12 +210,13 @@ def verify_classical(
     random exact-rational admissible kernels."""
     rng = random.Random(seed)
     report = VerificationReport("classical")
-    agree = IdentityCheck(f"closed form == partition oracle (d={d}, n={n})")
-    positive = IdentityCheck("Gaussian fourth cumulant of the sum is >= 0")
-    monotone = IdentityCheck("fourth moment monotone in the entry law when chi4 >= 0")
-    scale_cov = IdentityCheck("scaling the kernel by c scales the fourth moment by c^4")
-    relabel_inv = IdentityCheck("index relabeling leaves the fourth moment unchanged")
-    engines = IdentityCheck(ENGINES_CHECK)
+    agree, positive, monotone, scale_cov, relabel_inv = report.add(
+        f"closed form == partition oracle (d={d}, n={n})",
+        "Gaussian fourth cumulant of the sum is >= 0",
+        "fourth moment monotone in the entry law when chi4 >= 0",
+        "scaling the kernel by c scales the fourth moment by c^4",
+        "index relabeling leaves the fourth moment unchanged",
+    )
     laws = [ClassicalLaw.from_fourth_moment(m4) for m4 in CLASSICAL_M4]
     for _ in range(cases):
         # every draw of the case comes first, so a case that raises leaves
@@ -216,32 +225,23 @@ def verify_classical(
         c = Fraction(rng.randint(1, 5), rng.randint(1, 5))
         perm = list(range(1, n + 1))
         rng.shuffle(perm)
-        with _engine_case(engines, kernel) as on_law:
+        with report.case(kernel) as on_law:
             gauss = gaussian_fourth_moment(kernel).value
-            positive.record(gauss - 3 >= 0, _dev(gauss, 3), _case(kernel, {"E4_gaussian": gauss}))
+            positive.at_least(gauss, 3, _case(kernel, {"E4_gaussian": gauss}))
             for law in laws:
                 on_law["m4"] = law.moment(4)
                 lhs = classical_fourth_moment_formula(kernel, law).value
                 rhs = classical_fourth_moment_oracle(kernel, law).value
-                agree.record(
-                    lhs == rhs,
-                    _dev(lhs, rhs),
-                    _case(kernel, {"m4": law.moment(4), "formula": lhs, "oracle": rhs}),
-                )
+                agree.equal(lhs, rhs, _case(kernel, {**on_law, "formula": lhs, "oracle": rhs}))
                 if law.chi(4) >= 0:
-                    monotone.record(
-                        lhs >= gauss, _dev(lhs, gauss), _case(kernel, {"m4": law.moment(4)})
-                    )
+                    monotone.at_least(lhs, gauss, _case(kernel, {"m4": law.moment(4)}))
             law = laws[-1]
             scaled = classical_fourth_moment_formula(kernel.scaled(c), law).value
             base = classical_fourth_moment_formula(kernel, law).value
-            scale_cov.record(scaled == c**4 * base, _dev(scaled, c**4 * base), _case(kernel, {"c": c}))
+            scale_cov.equal(scaled, c**4 * base, _case(kernel, {"c": c}))
             permuted = kernel.relabel({i + 1: p for i, p in enumerate(perm)})
             relabeled = classical_fourth_moment_formula(permuted, law).value
-            relabel_inv.record(relabeled == base, _dev(relabeled, base), _case(kernel, {"perm": perm}))
-    report.checks.extend([agree, positive, monotone, scale_cov, relabel_inv])
-    if not engines.ok:
-        report.checks.append(engines)
+            relabel_inv.equal(relabeled, base, _case(kernel, {"perm": perm}))
     return report
 
 
@@ -255,42 +255,30 @@ def verify_free(
     free property invariants."""
     rng = random.Random(seed)
     report = VerificationReport("free")
-    agree = IdentityCheck(f"free closed form == non-crossing oracle (d={d}, n={n})")
-    contraction = IdentityCheck("contraction identity == pairing enumeration")
-    positive = IdentityCheck("semicircular scaled fourth moment >= 2")
-    monotone = IdentityCheck("free fourth moment monotone when kappa4 >= 0")
-    engines = IdentityCheck(ENGINES_CHECK)
+    agree, contraction, positive, monotone = report.add(
+        f"free closed form == non-crossing oracle (d={d}, n={n})",
+        "contraction identity == pairing enumeration",
+        "semicircular scaled fourth moment >= 2",
+        "free fourth moment monotone when kappa4 >= 0",
+    )
     laws = [FreeLaw.from_fourth_moment(k4 + 2) for k4 in FREE_KAPPA4]
     dfact2 = factorial(d) ** 2
     for _ in range(cases):
         kernel = random_admissible_kernel(rng, d, n)
-        with _engine_case(engines, kernel) as on_law:
+        with report.case(kernel) as on_law:
             semi_enum = semicircular_moment(kernel, 4).value
             semi_contr = semicircular_fourth_moment_contraction(kernel).value
-            contraction.record(
-                semi_enum == semi_contr,
-                _dev(semi_enum, semi_contr),
-                _case(kernel, {"enumeration": semi_enum, "contraction": semi_contr}),
+            contraction.equal(
+                semi_enum, semi_contr, _case(kernel, {"enumeration": semi_enum, "contraction": semi_contr})
             )
-            positive.record(
-                dfact2 * semi_contr >= 2,
-                _dev(dfact2 * semi_contr, 2),
-                _case(kernel, {"scaled": dfact2 * semi_contr}),
-            )
+            positive.at_least(dfact2 * semi_contr, 2, _case(kernel, {"scaled": dfact2 * semi_contr}))
             for law in laws:
                 on_law["phi4"] = law.moment(4)
                 lhs = free_fourth_moment(kernel, law).value
                 rhs = free_fourth_moment_oracle(kernel, law).value
-                agree.record(
-                    lhs == rhs,
-                    _dev(lhs, rhs),
-                    _case(kernel, {"phi4": law.moment(4), "formula": lhs, "oracle": rhs}),
-                )
+                agree.equal(lhs, rhs, _case(kernel, {**on_law, "formula": lhs, "oracle": rhs}))
                 if law.kappa(4) >= 0:
-                    monotone.record(lhs >= semi_contr, _dev(lhs, semi_contr), _case(kernel, {}))
-    report.checks.extend([agree, contraction, positive, monotone])
-    if not engines.ok:
-        report.checks.append(engines)
+                    monotone.at_least(lhs, semi_contr, _case(kernel, {}))
     return report
 
 
@@ -302,39 +290,32 @@ def verify_identities(
     include: str = "both",
 ) -> VerificationReport:
     """The mixture separation identity and the two-law difference identity on
-    random kernels, weights and laws, each law built once."""
+    random kernels, weights and laws, each law built once.  The report lists
+    only the identities that ran cases."""
     rng = random.Random(seed)
     classical_laws = [ClassicalLaw.from_fourth_moment(m4) for m4 in CLASSICAL_M4]
     free_laws = {j: FreeLaw.from_fourth_moment(Fraction(j, 2)) for j in range(1, 9)}
     report = VerificationReport("identities")
-    mixture = IdentityCheck("mixture separation identity (exact)")
-    difference = IdentityCheck("two-law fourth-cumulant difference identity (exact)")
-    engines = IdentityCheck(ENGINES_CHECK)
+    mixture, difference = report.add(
+        "mixture separation identity (exact)",
+        "two-law fourth-cumulant difference identity (exact)",
+    )
     for _ in range(cases):
         kernel = random_admissible_kernel(rng, d, n)
         if include in ("both", "mixture"):
             law = rng.choice(classical_laws)
             t = [Fraction(rng.randint(1, 9), rng.randint(1, 9)) for _ in range(n)]
-            with _engine_case(engines, kernel, m4=law.moment(4), t=t):
+            with report.case(kernel, m4=law.moment(4), t=t) as params:
                 res = mixture_identity_check(kernel, law, t)
-                mixture.record(
-                    res["equal"] and res["oracle_agrees"] in (True, None),
-                    _dev(res["lhs"], res["rhs"]),
-                    _case(kernel, {"t": t}),
-                )
+                ok = res["equal"] and res["oracle_agrees"] in (True, None)
+                mixture.record(ok, _dev(res["lhs"], res["rhs"]), _case(kernel, params))
         if include in ("both", "difference"):
             law_a = free_laws[rng.randint(1, 8)]
             law_b = free_laws[rng.randint(1, 8)]
-            with _engine_case(engines, kernel, phi4_A=law_a.moment(4), phi4_B=law_b.moment(4)):
+            with report.case(kernel, phi4_A=law_a.moment(4), phi4_B=law_b.moment(4)) as params:
                 res = free_difference_identity(kernel, law_a, law_b)
-                difference.record(
-                    res["equal"],
-                    _dev(res["lhs"], res["rhs"]),
-                    _case(kernel, {"phi4_A": law_a.moment(4), "phi4_B": law_b.moment(4)}),
-                )
-    report.checks.extend(c for c in (mixture, difference) if c.cases)
-    if not engines.ok:
-        report.checks.append(engines)
+                difference.record(res["equal"], _dev(res["lhs"], res["rhs"]), _case(kernel, params))
+    report.checks = [c for c in report.checks if c.cases]
     return report
 
 
@@ -345,21 +326,21 @@ def run_verification(
     cases: int = 50,
     seed: int = 0,
 ) -> list[VerificationReport]:
+    """The reports of ``scope``: each suite of the scope, then the identities
+    it includes, run at ``min(d, 2)``, ``min(n, 4)``, ``max(cases // 2, 10)``
+    cases and seed ``seed + 1``."""
+    include = {"all": "both", "classical": "mixture", "free": "difference", "partitions": None}
+    if scope not in include:
+        raise ValueError(f"unknown scope {scope!r}")
     reports = []
-    id_d, id_n = min(d, 2), min(n, 4)
-    id_cases = max(cases // 2, 10)
     if scope in ("all", "partitions"):
         reports.append(verify_partitions())
     if scope in ("all", "classical"):
         reports.append(verify_classical(d=d, n=n, cases=cases, seed=seed))
     if scope in ("all", "free"):
         reports.append(verify_free(d=d, n=n, cases=cases, seed=seed))
-    if scope == "classical":
-        reports.append(verify_identities(id_d, id_n, id_cases, seed + 1, include="mixture"))
-    elif scope == "free":
-        reports.append(verify_identities(id_d, id_n, id_cases, seed + 1, include="difference"))
-    elif scope == "all":
-        reports.append(verify_identities(id_d, id_n, id_cases, seed + 1, include="both"))
-    if not reports:
-        raise ValueError(f"unknown scope {scope!r}")
+    if include[scope]:
+        reports.append(
+            verify_identities(min(d, 2), min(n, 4), max(cases // 2, 10), seed + 1, include[scope])
+        )
     return reports

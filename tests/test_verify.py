@@ -156,3 +156,25 @@ def test_rho_partitions_error_fails_the_rho_check(monkeypatch):
     assert rho.name.startswith("rho partitions") and (rho.cases, rho.failures) == (2, 2)
     assert rho.failing_case == {"d": 2, "error": "rho mutant at d=2"}
     assert [c.name for c in report.checks if not c.ok] == [rho.name]
+
+
+def test_mixture_failure_replays_from_its_json(monkeypatch):
+    """With the mixture check reporting inequality, its first failing case,
+    read back from the JSON alone, rebuilds the drawn kernel, the classical
+    law and the weights t the check was called with."""
+    real = verify.mixture_identity_check
+    calls = []
+
+    def mixture(kernel, law, t):
+        calls.append((kernel, law, t))
+        return {**real(kernel, law, t), "equal": False}
+
+    monkeypatch.setattr(verify, "mixture_identity_check", mixture)
+    identities = run_verification("classical", cases=2, seed=3)[-1]
+    (check,) = json.loads(json.dumps(identities.to_json()))["checks"]
+    assert check["pass"] is False and check["failures"] == check["cases"] == 10
+    case = check["failing_case"]
+    kernel, law, t = calls[0]
+    assert Kernel.from_json(case["kernel"]) == kernel == random_admissible_kernel(random.Random(4), 2, 4)
+    assert ClassicalLaw.from_fourth_moment(Fraction(case["m4"])).moments == law.moments
+    assert [Fraction(w) for w in case["t"]] == t
