@@ -58,6 +58,7 @@ from .free import (
     free_fourth_moment_oracle,
     free_second_moment,
     free_third_moment_oracle,
+    moment_oracle,
     semicircular_fourth_moment_contraction,
     semicircular_moment,
     slice_fourth_sum,

@@ -1,6 +1,7 @@
 """Fourth moments of classical homogeneous sums, three independent ways:
 the Wick pairing sum for Gaussian entries, the nested-cumulant closed form,
-and a full partition-lattice oracle.
+and a full partition-lattice oracle: ``free.moment_oracle`` at order 4,
+which under a classical law also gives orders 2, 3 and 5.
 
 A note on the closed form's combinatorial constant: the number of
 interval-respecting partitions of the four index groups with ``m`` blocks of
@@ -21,21 +22,11 @@ from math import comb, factorial, lcm, prod
 from typing import Sequence
 
 from .contract import KernelContractor, grouped_types, partition_class_size, weighted_sum
-from .errors import AssumptionViolation, GroundCapExceeded
+from .errors import AssumptionViolation
+from .free import ORACLE_MAX_DEGREE, moment_oracle
 from .kernels import Kernel
 from .laws import ClassicalLaw
-from .reports import MomentReport, block_size_labels
-
-#: The partition oracle counts the interval-respecting classes on [4d] by
-#: incidence type instead of listing them, and contracts every type; degrees
-#: above this are closed-form territory.
-ORACLE_MAX_DEGREE = 4
-
-
-def oracle_runs(d: int) -> bool:
-    """Whether the partition oracles run at degree ``d``; callers that report
-    an oracle beside a closed form ask this one rule."""
-    return d <= ORACLE_MAX_DEGREE
+from .reports import MomentReport
 
 
 def classical_second_moment(kernel: Kernel) -> Fraction:
@@ -97,25 +88,10 @@ def classical_fourth_moment_formula(kernel: Kernel, law: ClassicalLaw) -> Moment
 
 
 def classical_fourth_moment_oracle(kernel: Kernel, law: ClassicalLaw) -> MomentReport:
-    """Ground-truth ``E[Q_X(f)^4]``: sum over every partition of the 4d
-    positions that respects the four index groups with block sizes in
-    {2, 3, 4}, weighted by the product of blockwise cumulants, of the four
-    kernel copies contracted over block-constant index assignments.  The
-    partitions are counted per incidence type, not listed, so each distinct
-    contraction runs once."""
-    d = kernel.d
-    if not oracle_runs(d):
-        raise GroundCapExceeded(
-            f"partition oracle supports degree <= {ORACLE_MAX_DEGREE}, got {d}"
-        )
-    law.require("partition oracle", 1)
-    chi = {s: law.chi(s) for s in (2, 3, 4)}
-    value, by_sizes = weighted_sum(KernelContractor.of(kernel), 4, chi, False)
-    detail = {
-        "partitions": partition_class_size(d, chi, 4, False),
-        "by_block_sizes": block_size_labels(by_sizes),
-    }
-    return MomentReport(value=value, method="enumeration", detail=detail)
+    """Ground-truth ``E[Q_X(f)^4]``: ``moment_oracle`` at order 4, over
+    every partition of the 4d positions that respects the four index groups
+    with block sizes in {2, 3, 4}, counted per incidence type."""
+    return moment_oracle(kernel, law, 4)
 
 
 # -- the mixture identity ------------------------------------------------------
@@ -148,7 +124,7 @@ def mixture_identity_check(kernel: Kernel, law: ClassicalLaw, t_values: Sequence
 
     evaluated exactly on the reweighted kernel.  (Averaging the left side
     over the weights gives back ``E[Q^4] - 3``; the displayed form is the
-    pointwise identity under the average.)  Where ``oracle_runs`` it also
+    pointwise identity under the average.)  Up to ``ORACLE_MAX_DEGREE`` it also
     cross-checks the closed-form fourth moment against the partition oracle
     (``oracle_agrees`` is None elsewhere).
     """
@@ -158,7 +134,7 @@ def mixture_identity_check(kernel: Kernel, law: ClassicalLaw, t_values: Sequence
     lhs = a - 6 * b + 3
     rhs = (a - 3 * b * b) + 3 * (b - 1) ** 2
     oracle_agrees = None
-    if oracle_runs(kernel.d):
+    if kernel.d <= ORACLE_MAX_DEGREE:
         oracle_agrees = classical_fourth_moment_oracle(resc, law).value == a
     return {
         "second_moment": b,

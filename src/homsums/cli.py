@@ -22,15 +22,15 @@ from .classical import (
     classical_fourth_moment_formula,
     classical_fourth_moment_oracle,
     classical_second_moment,
-    oracle_runs,
 )
 from .diagnostics import analyze_family, rows_to_csv, sweep_summary
 from .errors import HomsumError
 from .free import (
+    ORACLE_MAX_DEGREE,
     free_fourth_moment,
     free_fourth_moment_oracle,
     free_second_moment,
-    free_third_moment_oracle,
+    moment_oracle,
 )
 from .kernels import FAMILY_IDS, Kernel, KernelFamily
 from .laws import ClassicalLaw, FreeLaw
@@ -143,7 +143,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("kernel", help="kernel JSON file")
     p.add_argument("--law", required=True)
     p.add_argument("--regime", choices=("classical", "free"), default="classical")
-    p.add_argument("--orders", default="2,4", help="comma-separated orders from {2,3,4}")
+    p.add_argument("--orders", default="2,4", help="comma-separated orders from 2 to 5 (5 needs a named law)")
 
     p = sub.add_parser("sample", help="Monte Carlo moment estimate for a kernel file")
     p.add_argument("kernel", help="kernel JSON file")
@@ -197,23 +197,22 @@ def cmd_analyze(args) -> int:
 
 
 def _moment_reports(kernel: Kernel, law, regime: str, order: int) -> list[MomentReport]:
-    """The reports of one order, from the regime's engines.  They are looked
-    up at call time: ``perfbench/tracer.py`` rebinds these module names."""
+    """The reports of one order: the closed form at orders 2 and 4 (at 4 with
+    the fourth-moment oracle where it runs), else the moment oracle.  They
+    are looked up at call time: ``perfbench/tracer.py`` rebinds these names."""
     if regime == "classical":
-        second, identity, covered = classical_second_moment, "d! * sum(f^2)", "2 and 4"
+        second, identity = classical_second_moment, "d! * sum(f^2)"
         formula, oracle = classical_fourth_moment_formula, classical_fourth_moment_oracle
     else:
-        second, identity, covered = free_second_moment, "sum(f^2)", "2, 3 and 4"
+        second, identity = free_second_moment, "sum(f^2)"
         formula, oracle = free_fourth_moment, free_fourth_moment_oracle
     if order == 2:
         v = second(kernel)
         scaled = v * math.factorial(kernel.d) if regime == "free" else None
         return [MomentReport(v, "closed-form", {"identity": identity}, order=2, scaled_value=scaled)]
-    if order == 3 and regime == "free":
-        return [free_third_moment_oracle(kernel, law)]
     if order == 4:
-        return [formula(kernel, law)] + ([oracle(kernel, law)] if oracle_runs(kernel.d) else [])
-    raise HomsumError(f"{regime} reports cover orders {covered}")
+        return [formula(kernel, law)] + ([oracle(kernel, law)] if kernel.d <= ORACLE_MAX_DEGREE else [])
+    return [moment_oracle(kernel, law, order)]
 
 
 def cmd_moments(args) -> int:

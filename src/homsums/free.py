@@ -1,7 +1,9 @@
-"""Moments of free homogeneous sums: semicircular moments via non-crossing
-pairings, the fourth-moment contraction identity, the nested free-cumulant
-closed form, and the non-crossing partition oracle with its structural
-pairs-plus-one-four-block decomposition, read from the class it contracts.
+"""Moments of free homogeneous sums: ``moment_oracle``, the partition oracle
+of orders 2 to 5 in both regimes (here because it builds free reports too),
+semicircular moments via non-crossing pairings through its body, the
+fourth-moment contraction identity, the nested free-cumulant closed form,
+and the free fourth-moment oracle's structural pairs-plus-one-four-block
+decomposition, read from the class it contracts.
 
 The closed form's per-index slice moments are parent-kernel types whose
 slice index block is left unsummed; no slice kernel is built.
@@ -16,14 +18,21 @@ so is the value unless ``scale2 = 1``.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from fractions import Fraction
 from math import factorial
 
 from .contract import KernelContractor, canonical_type, grouped_types, partition_class_size, weighted_sum
-from .errors import HomsumError
+from .errors import GroundCapExceeded, HomsumError
 from .kernels import Kernel, contraction_square_sum
-from .laws import FreeLaw
-from .reports import MomentReport, block_size_labels
+from .laws import ClassicalLaw, FreeLaw
+from .reports import MomentReport
+
+#: The classical oracle counts the interval-respecting classes by incidence
+#: type instead of listing them, and contracts every type; degrees above this
+#: are closed-form territory.  Callers that report an oracle beside a closed
+#: form ask this one rule.
+ORACLE_MAX_DEGREE = 4
 
 
 def free_second_moment(kernel: Kernel) -> Fraction:
@@ -32,16 +41,20 @@ def free_second_moment(kernel: Kernel) -> Fraction:
     return kernel.sq_norm()
 
 
-def _noncrossing(kernel: Kernel, order: int, cumulants: dict):
-    """The one weighted sum over the non-crossing, group-respecting class of
-    ``order`` copies with the given blockwise cumulants: the coefficient, the
-    value (an odd order applies the outstanding half-power of the kernel
-    scale), the per-profile terms and the class size."""
-    coeff, by_sizes = weighted_sum(KernelContractor.of(kernel), order, cumulants, True)
+def _partition_sum(kernel: Kernel, order: int, cumulants: dict, noncrossing: bool):
+    """The one weighted sum over the group-respecting class of ``order`` copies
+    with these blockwise cumulants: the coefficient, the value (an odd order
+    applies the scale's outstanding half-power), profile terms, class size."""
+    coeff, by_sizes = weighted_sum(KernelContractor.of(kernel), order, cumulants, noncrossing)
     value = coeff
     if order % 2 == 1 and kernel.scale2 != 1:
         value = float(coeff) * math.sqrt(kernel.scale2)
-    return coeff, value, by_sizes, partition_class_size(kernel.d, cumulants, order, True)
+    return coeff, value, by_sizes, partition_class_size(kernel.d, cumulants, order, noncrossing)
+
+
+def _label(sizes: tuple[int, ...]) -> str:
+    """A block-size profile as detail keys show it: ``(2, 2, 4)`` as ``"2 +2 +4"``."""
+    return " +".join(map(str, sizes))
 
 
 def _report(value, kernel: Kernel, order: int, method: str, detail: dict) -> MomentReport:
@@ -53,12 +66,39 @@ def _report(value, kernel: Kernel, order: int, method: str, detail: dict) -> Mom
     return MomentReport(value=value, method=method, detail=detail, order=order, scaled_value=scaled)
 
 
+def moment_oracle(kernel: Kernel, law: ClassicalLaw | FreeLaw, order: int) -> MomentReport:
+    """Ground-truth moment of order 2 to 5: the sum over the partitions of the
+    ``order * d`` positions that respect the index groups, with block sizes 2
+    to ``order`` (non-crossing ones, weighted by free cumulants, for a
+    ``FreeLaw``; classical ones up to ``ORACLE_MAX_DEGREE``), of blockwise
+    cumulants times the kernel copies contracted.  The law need only be
+    centered.  At odd order the detail also holds the value before the
+    scale's half-power."""
+    if not 2 <= order <= 5:  # the classical order-6 class takes minutes from d = 3
+        raise HomsumError(f"moment oracle covers orders 2 to 5, got {order}")
+    free = isinstance(law, FreeLaw)
+    if not free and kernel.d > ORACLE_MAX_DEGREE:
+        raise GroundCapExceeded(f"partition oracle supports degree <= {ORACLE_MAX_DEGREE}, got {kernel.d}")
+    law.require("partition oracle", 1)
+    cumulant = law.kappa if free else law.chi
+    cumulants = {s: cumulant(s) for s in range(2, order + 1)}
+    coeff, value, by_sizes, n_partitions = _partition_sum(kernel, order, cumulants, free)
+    detail = {"partitions": n_partitions}
+    if order % 2 == 1:
+        detail["coefficient"] = coeff
+    detail["by_block_sizes"] = {_label(sk): v for sk, v in sorted(by_sizes.items())}
+    if free:
+        return _report(value, kernel, order, "enumeration", detail)
+    return MomentReport(value=value, method="enumeration", detail=detail, order=order)
+
+
 def semicircular_moment(kernel: Kernel, order: int) -> MomentReport:
     """``phi(Q_S(f)^k)`` by enumerating non-crossing pairings of the ``k*d``
-    positions that respect the ``k`` index groups."""
+    positions that respect the ``k`` index groups: the oracle's body on the
+    pairing class."""
     if order < 1:
         raise HomsumError(f"moment order must be >= 1, got {order}")
-    coeff, value, _, pairings = _noncrossing(kernel, order, {2: Fraction(1)})
+    coeff, value, _, pairings = _partition_sum(kernel, order, {2: Fraction(1)}, True)
     detail = {"pairings": pairings, "coefficient": coeff, "scale2": kernel.scale2}
     return _report(value, kernel, order, "enumeration", detail)
 
@@ -121,11 +161,9 @@ def free_fourth_moment(kernel: Kernel, law: FreeLaw) -> MomentReport:
 
 
 def free_fourth_moment_oracle(kernel: Kernel, law: FreeLaw) -> MomentReport:
-    """Ground-truth ``phi(Q_Y(f)^4)``: enumerate the non-crossing partitions
-    of the 4d positions respecting the four groups with block sizes {2, 4},
-    weight by blockwise free cumulants, and contract.
-
-    Also re-derives the structural decomposition from that class: it must be
+    """Ground-truth ``phi(Q_Y(f)^4)``: ``moment_oracle`` at order 4, whose
+    class has no 3-block (at four copies none is non-crossing).  Also
+    re-derives the structural decomposition from that class: it must be
     the pure pairings plus exactly ``d`` partitions with one four-block, and
     the latter's contribution must equal ``kappa_4`` times the slice
     fourth-moment sum.
@@ -134,43 +172,33 @@ def free_fourth_moment_oracle(kernel: Kernel, law: FreeLaw) -> MomentReport:
     d = kernel.d
     if d < 2:
         raise HomsumError("free oracle needs degree >= 2")
-    kappa = {2: law.kappa(2), 4: law.kappa(4)}
-    _, value, by_sizes, n_partitions = _noncrossing(kernel, 4, kappa)
-    # every type is checked, zero-weight profiles too; at k = 4 a four-block
-    # meets every copy, so its mask is 15
-    types = grouped_types(d, frozenset(kappa), 4, True)
-    rho_count = sum(count for tkey, count in types if 15 in tkey)
-    if rho_count != d or any(tkey.count(15) > 1 for tkey, _ in types):
-        raise HomsumError(f"non-crossing {{2, 4}} class on [{4 * d}] is not pairings plus {d} rhos (bug)")
+    report = moment_oracle(kernel, law, 4)
+    # every type is checked, zero-weight profiles too
+    profiles: Counter = Counter()
+    for tkey, count in grouped_types(d, frozenset(range(2, 5)), 4, True):
+        profiles[tuple(sorted(m.bit_count() for m in tkey))] += count
     pairing, rho = (2,) * (2 * d), (2,) * (2 * d - 2) + (4,)
+    if profiles.keys() - {pairing, rho} or profiles[rho] != d:
+        raise HomsumError(f"non-crossing class on [{4 * d}] is not pairings plus {d} rhos (bug)")
+    kappa2, kappa4 = law.kappa(2), law.kappa(4)
+    terms = report.detail.pop("by_block_sizes")
     # a zero-weight profile is skipped; 0 * kappa_4 keeps the law's number type
-    pairing_part, rho_part = (by_sizes.get(sk, 0 * kappa[4]) for sk in (pairing, rho))
-    expected_rho = kappa[4] * slice_fourth_sum(kernel) * kappa[2] ** (2 * d - 2)
+    pairing_part, rho_part = (terms.get(_label(sk), 0 * kappa4) for sk in (pairing, rho))
+    expected_rho = kappa4 * slice_fourth_sum(kernel) * kappa2 ** (2 * d - 2)
     if rho_part != expected_rho:
         raise HomsumError(
             "rho-partition contribution disagrees with the slice fourth-moment sum"
         )
-    detail = {
-        "partitions": n_partitions,
-        "pairings": n_partitions - rho_count,
-        "rho_count": rho_count,
-        "pairing_part": pairing_part,
-        "rho_part": rho_part,
-        "by_block_sizes": block_size_labels(by_sizes),
-    }
-    return _report(value, kernel, 4, "enumeration", detail)
+    report.detail.update(pairings=profiles[pairing], rho_count=d, pairing_part=pairing_part, rho_part=rho_part)
+    report.detail["by_block_sizes"] = terms
+    return report
 
 
 def free_third_moment_oracle(kernel: Kernel, law: FreeLaw) -> MomentReport:
-    """``phi(Q_Y(f)^3)`` by enumerating non-crossing, group-respecting
-    partitions with blocks of sizes {2, 3}.  For even degree the class
-    contains no 3-blocks, which is exactly why the third moment matches the
-    semicircular one there.  The law need only be centered."""
-    law.require("free third-moment oracle", 1)
-    kappa = {2: law.kappa(2), 3: law.kappa(3)}
-    coeff, value, by_sizes, n_partitions = _noncrossing(kernel, 3, kappa)
-    detail = {"partitions": n_partitions, "coefficient": coeff, "by_block_sizes": block_size_labels(by_sizes)}
-    return _report(value, kernel, 3, "enumeration", detail)
+    """``phi(Q_Y(f)^3)``: ``moment_oracle`` at order 3.  For even degree its
+    class contains no 3-blocks, which is exactly why the third moment
+    matches the semicircular one there."""
+    return moment_oracle(kernel, law, 3)
 
 
 def free_difference_identity(kernel: Kernel, law_a: FreeLaw, law_b: FreeLaw) -> dict:

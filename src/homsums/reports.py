@@ -20,12 +20,6 @@ def jsonable(x: Any) -> Any:
     return x
 
 
-def block_size_labels(by_sizes: dict) -> dict:
-    """Per-profile terms keyed by their block sizes, ``(2, 2, 4)`` as
-    ``"2 +2 +4"``, in sorted profile order."""
-    return {" +".join(map(str, k)): v for k, v in sorted(by_sizes.items())}
-
-
 @dataclass
 class MomentReport:
     """A computed moment/cumulant value plus how it was obtained."""

@@ -278,7 +278,7 @@ def verify_free(
                 rhs = free_fourth_moment_oracle(kernel, law).value
                 agree.equal(lhs, rhs, _case(kernel, {**on_law, "formula": lhs, "oracle": rhs}))
                 if law.kappa(4) >= 0:
-                    monotone.at_least(lhs, semi_contr, _case(kernel, {}))
+                    monotone.at_least(lhs, semi_contr, _case(kernel, dict(on_law)))
     return report
 
 

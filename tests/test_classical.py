@@ -7,6 +7,7 @@ bottom of this file, which share no code with the engines.
 """
 
 import itertools
+import math
 import random
 from fractions import Fraction
 from math import comb, factorial, prod
@@ -29,6 +30,7 @@ from homsums import (
     gaussian_fourth_moment,
     mixture_identity_check,
     mixture_t_moment,
+    moment_oracle,
     random_admissible_kernel,
     rescaled_kernel,
 )
@@ -258,6 +260,69 @@ def test_oracle_degree_cap():
     k = Kernel(5, 5, {tuple(range(1, 6)): Fraction(1)})
     with pytest.raises(GroundCapExceeded):
         classical_fourth_moment_oracle(k, ClassicalLaw.gaussian())
+
+
+# -- the moment oracle at orders 3 and 5 ---------------------------------------------
+
+RADEMACHER = ((1, Fraction(1, 2)), (-1, Fraction(1, 2)))
+#: centered, unit variance, m3 = 3/2, m4 = 13/4, m5 = 51/8
+SKEWED = ((2, Fraction(1, 5)), (Fraction(-1, 2), Fraction(4, 5)))
+
+
+def brute_moment_coefficient(kernel, points, order):
+    """``E[Q^order]`` before the half-power of the scale, from scratch: a
+    plain loop over every vector of support points of the n entries,
+    weighted by its probability, of ``(d! * sum of entry * x_i1 ... x_id)``
+    over the stored tuples, to the power ``order``, times
+    ``scale2^(order // 2)``."""
+    total = Fraction(0)
+    for xs in itertools.product(points, repeat=kernel.n):
+        q = sum(v * prod(xs[i - 1][0] for i in t) for t, v in kernel.entries.items())
+        total += prod(p for _, p in xs) * (factorial(kernel.d) * q) ** order
+    return total * kernel.scale2 ** (order // 2)
+
+
+@pytest.mark.parametrize("d, n", [(2, 4), (2, 7), (2, 10), (3, 5), (3, 7)])
+def test_odd_orders_equal_the_sign_vector_sum(d, n):
+    """Under Rademacher entries the oracle's order-3 and order-5 coefficients
+    equal the loop over all 2^n sign vectors.  At d = 3 every term has an
+    odd power of some entry, so both vanish; at d = 2 the triangles of a
+    dense kernel make them nonzero."""
+    kernel = random_admissible_kernel(random.Random(d * n), d, n)
+    for order in (3, 5):
+        rep = moment_oracle(kernel, ClassicalLaw.rademacher(), order)
+        want = brute_moment_coefficient(kernel, RADEMACHER, order)
+        assert rep.detail["coefficient"] == want
+        assert (want != 0) == (d == 2)
+        assert rep.value == pytest.approx(float(want) * math.sqrt(kernel.scale2))
+
+
+@pytest.mark.parametrize("d, n", [(2, 5), (2, 8), (3, 5), (3, 6)])
+def test_odd_orders_equal_the_two_point_sum(d, n):
+    """A skewed two-point law, 2 with probability 1/5 and -1/2 with 4/5,
+    weighs the 3-blocks by chi3 = m3 = 3/2 and the 5-blocks by chi5 != 0:
+    the oracle's order-3 and order-5 coefficients equal the sum over its 2^n
+    support vectors, nonzero at both degrees."""
+    law = ClassicalLaw((0, 1, Fraction(3, 2), Fraction(13, 4), Fraction(51, 8)))
+    assert [sum(p * x**j for x, p in SKEWED) for j in range(1, 6)] == list(law.moments)
+    assert law.chi(5) != 0
+    kernel = random_admissible_kernel(random.Random(d * n + 1), d, n)
+    for order in (3, 5):
+        rep = moment_oracle(kernel, law, order)
+        assert rep.detail["coefficient"] == brute_moment_coefficient(kernel, SKEWED, order) != 0
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_moment_oracle_at_orders_two_and_four_equals_the_engines(d):
+    """On the reference kernels (dense, star, sparse and float-mode), order 4
+    is the fourth-moment oracle's report and equals the closed form; order 2
+    equals ``d! * sum(f^2)`` times chi2^d, one chi2 per pair."""
+    for kernel in reference_kernels(d).values():
+        for law in (ClassicalLaw.rademacher(), ClassicalLaw.from_fourth_moment(Fraction(9, 2))):
+            rep = moment_oracle(kernel, law, 4)
+            assert rep.to_json() == classical_fourth_moment_oracle(kernel, law).to_json()
+            assert rep.value == classical_fourth_moment_formula(kernel, law).value
+        assert moment_oracle(kernel, ClassicalLaw((0, 2, 0, 9)), 2).value == 2**d * classical_second_moment(kernel)
 
 
 def test_relabeling_invariance(rng):

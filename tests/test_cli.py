@@ -1,5 +1,6 @@
 """Command-line front end: subcommands, law parsing, formats, error paths."""
 
+import importlib
 import json
 import random
 import re
@@ -20,6 +21,7 @@ from homsums import (
     classical_fourth_moment_formula,
     classical_fourth_moment_oracle,
     family_kernel,
+    moment_oracle,
     random_admissible_kernel,
 )
 from homsums.cli import build_parser, main, parse_law, parse_number
@@ -93,7 +95,7 @@ def test_readme_cli_lines_parse():
 
 
 def test_readme_tour_star_import_binds_no_submodule():
-    """``from homsums import *``, as the README tour runs it, binds the 63
+    """``from homsums import *``, as the README tour runs it, binds the 64
     public names (every function, class and constant the package exports)
     and none of the submodules that importing them binds."""
     tour = re.search(r"## Library tour\n.*?```python\n(.*?)```", README.read_text(), re.S).group(1)
@@ -102,7 +104,7 @@ def test_readme_tour_star_import_binds_no_submodule():
     assert not [name for name, value in namespace.items() if isinstance(value, ModuleType) and name != "__builtins__"]
     public = [name for name in dir(homsums) if not name.startswith("_")]
     assert homsums.__all__ == [name for name in public if not isinstance(getattr(homsums, name), ModuleType)]
-    assert len(homsums.__all__) == 63 and {"contract", "free", "verify"} <= set(public)
+    assert len(homsums.__all__) == 64 and {"contract", "free", "verify"} <= set(public)
 
 
 # -- law spec parsing -----------------------------------------------------------
@@ -271,23 +273,53 @@ def test_moments_classical_degree_four_oracle_agrees(tmp_path, capsys):
     assert reports[0]["value_exact"] == reports[1]["value_exact"] == "6561/16"
 
 
-def test_moments_rejects_classical_order_three(pair_file, capsys):
-    code, _, err = run(["moments", pair_file, "--law", "gaussian", "--orders", "3"], capsys)
-    assert code == 1 and "orders 2 and 4" in err
+def test_moments_reports_orders_two_to_five_in_both_regimes(tmp_path, capsys):
+    """One rule in both regimes: the closed form at order 2, the closed form
+    and the fourth-moment oracle at order 4, and the moment oracle at orders
+    3 and 5."""
+    kernel = random_admissible_kernel(random.Random(3), 2, 5)
+    path = tmp_path / "k.json"
+    kernel.dump(str(path))
+    for regime, law in (("classical", ClassicalLaw.rademacher()), ("free", FreeLaw.free_rademacher())):
+        name = "rademacher" if regime == "classical" else "free-rademacher"
+        code, out, err = run(
+            ["moments", str(path), "--law", name, "--regime", regime, "--orders", "5,2,4,3"], capsys
+        )
+        assert code == 0, err
+        orders = json.loads(out)["orders"]
+        methods = {o: [r["method"] for r in reports] for o, reports in orders.items()}
+        assert methods == {
+            "2": ["closed-form"], "3": ["enumeration"], "4": ["closed-form", "enumeration"], "5": ["enumeration"]
+        }
+        for order in (3, 5):
+            assert orders[str(order)] == [json.loads(json.dumps(moment_oracle(kernel, law, order).to_json()))]
+
+
+def test_moments_rejects_classical_order_three(tmp_path, capsys):
+    """Classical odd orders run where the fourth-moment oracle does: at
+    degree 5 the degree rule refuses order 3."""
+    path = tmp_path / "k5.json"
+    random_admissible_kernel(random.Random(5), 5, 6).dump(str(path))
+    code, out, err = run(["moments", str(path), "--law", "gaussian", "--orders", "3"], capsys)
+    assert (code, out, err) == (1, "", "error: partition oracle supports degree <= 4, got 5\n")
 
 
 @pytest.mark.parametrize(
     "regime, law, orders, message",
     [
-        ("classical", "gaussian", "1", "classical reports cover orders 2 and 4"),
-        ("classical", "gaussian", "2,5", "classical reports cover orders 2 and 4"),
-        ("free", "semicircle", "1", "free reports cover orders 2, 3 and 4"),
-        ("free", "semicircle", "2,3,5", "free reports cover orders 2, 3 and 4"),
+        ("classical", "gaussian", "1", "moment oracle covers orders 2 to 5, got 1"),
+        ("classical", "gaussian", "2,6", "moment oracle covers orders 2 to 5, got 6"),
+        ("free", "semicircle", "1", "moment oracle covers orders 2 to 5, got 1"),
+        ("free", "semicircle", "2,3,6", "moment oracle covers orders 2 to 5, got 6"),
+        ("classical", "m4=9/2", "2,5", "cumulant of order 5 not available (have 1..4)"),
+        ("free", "m4=3", "2,3,5", "cumulant of order 5 not available (have 1..4)"),
     ],
+    ids=["classical-1", "classical-2,6", "free-1", "free-2,3,6", "classical-m4-2,5", "free-m4-2,3,5"],
 )
 def test_moments_refuses_orders_outside_its_regime(pair_file, capsys, regime, law, orders, message):
-    """An order the regime does not report exits 1 with one error line and
-    prints no payload, even when the orders before it were reported."""
+    """Orders outside 2 to 5, and order 5 under a law given only to m4, exit
+    1 with one error line and print no payload, even when the orders before
+    it were reported."""
     code, out, err = run(
         ["moments", pair_file, "--law", law, "--regime", regime, "--orders", orders], capsys
     )
@@ -431,18 +463,44 @@ def test_out_file_written_atomically(tmp_path, pair_file, capsys):
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def _cli_cold_workload():
-    """The benchmark's ``cli-cold`` workload class, imported from
-    ``perfbench/`` (whose modules import each other by bare name)."""
+def _perfbench(name):
+    """A module of ``perfbench/``, whose modules import each other by bare
+    name."""
     sys.path.insert(0, str(PERFBENCH))
     try:
-        from workloads import CliCold
+        return importlib.import_module(name)
     finally:
         sys.path.remove(str(PERFBENCH))
-    return CliCold
 
 
-CliCold = _cli_cold_workload()
+CliCold = _perfbench("workloads").CliCold
+
+
+def test_tracer_rebinds_every_traced_name():
+    """Every ``(owner, attribute)`` the benchmark's tracer wraps resolves;
+    installing the tracer rebinds each one, at every binding of a
+    module-level function in a loaded homsums module, and uninstalling
+    restores them.  A rename in the engines fails here, not only in a
+    traced benchmark run."""
+    tracer = _perfbench("tracer")
+    functions = [(span, owner, attr) for span, owner, attr, _ in tracer._functions()]
+    originals = [getattr(owner, attr) for _, owner, attr in functions]
+    modules = [m for k, m in sys.modules.items() if k == "homsums" or k.startswith("homsums.")]
+    bindings = [(m, key, fn) for fn in originals for m in modules for key, v in vars(m).items() if v is fn]
+    assert {m.__name__ for m, _, fn in bindings if fn is homsums.classical_fourth_moment_oracle} >= {
+        "homsums", "homsums.classical", "homsums.cli", "homsums.verify"
+    }
+    t = tracer.Tracer()
+    t.install()
+    try:
+        for (span, owner, attr), fn in zip(functions, originals):
+            assert getattr(owner, attr).__wrapped__ is fn, span
+        for m, key, fn in bindings:
+            assert getattr(m, key).__wrapped__ is fn, (m.__name__, key)
+    finally:
+        t.uninstall()
+    assert [getattr(owner, attr) for _, owner, attr in functions] == originals
+    assert all(getattr(m, key) is fn for m, key, fn in bindings)
 
 
 @pytest.fixture(scope="module")

@@ -19,16 +19,20 @@ import pytest
 
 from homsums import (
     AssumptionViolation,
+    ClassicalLaw,
     FreeLaw,
+    GroundCapExceeded,
     HomsumError,
     Kernel,
     KernelFamily,
+    MissingCumulant,
     family_kernel,
     free_difference_identity,
     free_fourth_moment,
     free_fourth_moment_oracle,
     free_second_moment,
     free_third_moment_oracle,
+    moment_oracle,
     random_admissible_kernel,
     rho_partitions,
     semicircular_fourth_moment_contraction,
@@ -59,9 +63,19 @@ def brute_pairings(elems):
 
 
 def brute_semicircular_moment(kernel, order):
-    """phi(Q_S^k) from scratch: enumerate pairings of [k*d], keep those that
-    avoid same-copy pairs and quadruple-definition crossings, and sum the
-    products of kernel values over pair-constant assignments."""
+    """phi(Q_S^k) from scratch: ``brute_semicircular_coefficient`` times the
+    outstanding half-power of the scale at odd order."""
+    total = brute_semicircular_coefficient(kernel, order)
+    if order % 2 == 1 and kernel.scale2 != 1:
+        return total * float(kernel.scale2) ** 0.5
+    return total
+
+
+def brute_semicircular_coefficient(kernel, order):
+    """phi(Q_S^k) before the half-power of the scale, from scratch: enumerate
+    pairings of [k*d], keep those that avoid same-copy pairs and
+    quadruple-definition crossings, and sum the products of kernel values
+    over pair-constant assignments."""
     d, n = kernel.d, kernel.n
     m = order * d
     total = Fraction(0)
@@ -91,10 +105,7 @@ def brute_semicircular_moment(kernel, order):
                 if term == 0:
                     break
             total += term
-    total *= kernel.scale2 ** (order // 2)
-    if order % 2 == 1 and kernel.scale2 != 1:
-        return total * float(kernel.scale2) ** 0.5
-    return total
+    return total * kernel.scale2 ** (order // 2)
 
 
 def brute_set_partitions(elems):
@@ -432,6 +443,56 @@ def test_free_third_oracle_refuses_uncentered_law():
         free_third_moment_oracle(k, FreeLaw((1, 2, 5, 20)))
     rep = free_third_moment_oracle(k, FreeLaw((0, 2, 5, 20)))
     assert rep.value == 5 and type(rep.value) is Fraction
+
+
+# -- the moment oracle ---------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_order_five_equals_the_brute_pairing_sum(n):
+    """Under the semicircle law only the pairings weigh, so the oracle's
+    order-5 coefficient equals the brute pairing sum, nonzero at d = 2."""
+    kernel = random_admissible_kernel(random.Random(n + 2), 2, n)
+    rep = moment_oracle(kernel, FreeLaw.semicircle(), 5)
+    assert rep.detail["coefficient"] == brute_semicircular_coefficient(kernel, 5) != 0
+    assert rep.scaled_value == pytest.approx(rep.value * factorial(2) ** 2.5)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_moment_oracle_at_order_four_equals_the_free_engines(d):
+    """On the reference kernels (dense, star, sparse and float-mode), order 4
+    over block sizes 2 to 4 has the {2, 4} class's size and profile terms and
+    equals both free fourth-moment routes."""
+    for kernel in reference_kernels(d).values():
+        for law in (FreeLaw.free_rademacher(), FreeLaw((0, 1, Fraction(1, 2), 4))):
+            rep, oracle = moment_oracle(kernel, law, 4), free_fourth_moment_oracle(kernel, law)
+            assert rep.value == oracle.value == free_fourth_moment(kernel, law).value
+            assert rep.scaled_value == oracle.scaled_value
+            for key in ("partitions", "by_block_sizes"):
+                assert rep.detail[key] == oracle.detail[key]
+
+
+def test_moment_oracle_refusals():
+    """Orders outside 2 to 5 are refused in both regimes, as are order 5
+    under a law known only to its fourth moment, the classical regime above
+    degree 4, a free class beyond the ground cap and an uncentered law."""
+    kernel = random_admissible_kernel(random.Random(0), 2, 4)
+    for law in (ClassicalLaw.gaussian(), FreeLaw.semicircle()):
+        for order in (0, 1, 6):
+            with pytest.raises(HomsumError, match=f"moment oracle covers orders 2 to 5, got {order}"):
+                moment_oracle(kernel, law, order)
+    for law in (ClassicalLaw.from_fourth_moment(3), FreeLaw.from_fourth_moment(3)):
+        with pytest.raises(MissingCumulant, match=r"cumulant of order 5 not available \(have 1..4\)"):
+            moment_oracle(kernel, law, 5)
+    degree5 = random_admissible_kernel(random.Random(5), 5, 6)
+    with pytest.raises(GroundCapExceeded, match="partition oracle supports degree <= 4, got 5"):
+        moment_oracle(degree5, ClassicalLaw.gaussian(), 3)
+    assert moment_oracle(degree5, FreeLaw.semicircle(), 4).value == semicircular_moment(degree5, 4).value
+    with pytest.raises(GroundCapExceeded, match=r"ground set \[25\] exceeds the cap 24"):
+        moment_oracle(degree5, FreeLaw.semicircle(), 5)
+    for law in (ClassicalLaw((1, 1, 0, 3)), FreeLaw((1, 2, 5, 20))):
+        with pytest.raises(AssumptionViolation, match=r"partition oracle needs a centered law"):
+            moment_oracle(kernel, law, 3)
 
 
 # -- pinned reports ---------------------------------------------------------------------

@@ -9,11 +9,13 @@ import pytest
 
 from homsums import (
     ClassicalLaw,
+    FreeLaw,
     HomsumError,
     Kernel,
     classical_fourth_moment_formula,
     random_admissible_kernel,
     run_verification,
+    semicircular_fourth_moment_contraction,
     verify,
 )
 from homsums.cli import main
@@ -112,6 +114,29 @@ def test_failing_case_replays_from_its_json(monkeypatch):
     law = ClassicalLaw.from_fourth_moment(Fraction(case["m4"]))
     assert str(classical_fourth_moment_formula(kernel, law).value) == case["formula"]
     assert Fraction(case["oracle"]) - Fraction(case["formula"]) == Fraction(1, 7)
+
+
+def test_free_monotone_failure_replays_from_its_json(monkeypatch):
+    """With the free closed form 100 too low at kappa4 = 1, the monotone check
+    fails on every case, and its first failing case, read back from the JSON
+    alone, rebuilds the drawn kernel and the law it failed on."""
+    real = verify.free_fourth_moment
+
+    def closed_form(kernel, law):
+        value = real(kernel, law).value
+        return SimpleNamespace(value=value - 100 if law.kappa(4) == 1 else value)
+
+    monkeypatch.setattr(verify, "free_fourth_moment", closed_form)
+    free = run_verification("free", cases=2, seed=3)[0]
+    checks = {c["name"]: c for c in json.loads(json.dumps(free.to_json()))["checks"]}
+    monotone = checks["free fourth moment monotone when kappa4 >= 0"]
+    assert monotone["pass"] is False and (monotone["failures"], monotone["cases"]) == (2, 6)
+    case = monotone["failing_case"]
+    kernel = Kernel.from_json(case["kernel"])
+    assert kernel == random_admissible_kernel(random.Random(3), 2, 4)
+    law = FreeLaw.from_fourth_moment(Fraction(case["phi4"]))
+    assert law.kappa(4) == 1
+    assert closed_form(kernel, law).value < semicircular_fourth_moment_contraction(kernel).value
 
 
 def test_engine_error_fails_a_recorded_check(monkeypatch, capsys):
