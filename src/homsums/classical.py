@@ -68,7 +68,7 @@ def _slice_fourth_sums(kernel: Kernel) -> tuple[Fraction, ...]:
 def classical_fourth_moment_formula(kernel: Kernel, law: ClassicalLaw) -> MomentReport:
     """``E[Q_X(f)^4]`` by the nested-cumulant closed form: the Gaussian Wick
     term plus fourth-cumulant corrections from lower-order slice moments."""
-    law.require("closed form", 3)
+    law.require("closed form", 3, ClassicalLaw)
     d = kernel.d
     chi4 = law.chi(4)
     base = kernel.derived(_wick_sum)
@@ -91,6 +91,7 @@ def classical_fourth_moment_oracle(kernel: Kernel, law: ClassicalLaw) -> MomentR
     """Ground-truth ``E[Q_X(f)^4]``: ``moment_oracle`` at order 4, over
     every partition of the 4d positions that respects the four index groups
     with block sizes in {2, 3, 4}, counted per incidence type."""
+    law.require("classical oracle", 0, ClassicalLaw)
     return moment_oracle(kernel, law, 4)
 
 

@@ -10,6 +10,7 @@ files carry their own ``mode``.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
 import os
@@ -265,5 +266,13 @@ def main(argv=None) -> int:
         return 1
 
 
+def run(argv=None) -> None:
+    """The process entry: ``main``, then ``gc.freeze()`` so the collection at
+    shutdown skips the heap.  Callers that stay alive call ``main``."""
+    code = main(argv)
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -143,7 +143,7 @@ def free_fourth_moment(kernel: Kernel, law: FreeLaw) -> MomentReport:
     """``phi(Q_Y(f)^4)``: the semicircular value plus the fourth free cumulant
     of the law times the slice fourth-moment sum.  No third-moment condition
     is needed."""
-    law.require("free closed form", 2)
+    law.require("free closed form", 2, FreeLaw)
     if kernel.d < 2:
         raise HomsumError("free fourth moment needs degree >= 2")
     kappa4 = law.kappa(4)
@@ -168,7 +168,7 @@ def free_fourth_moment_oracle(kernel: Kernel, law: FreeLaw) -> MomentReport:
     the latter's contribution must equal ``kappa_4`` times the slice
     fourth-moment sum.
     """
-    law.require("free oracle", 2)
+    law.require("free oracle", 2, FreeLaw)
     d = kernel.d
     if d < 2:
         raise HomsumError("free oracle needs degree >= 2")
@@ -198,6 +198,7 @@ def free_third_moment_oracle(kernel: Kernel, law: FreeLaw) -> MomentReport:
     """``phi(Q_Y(f)^3)``: ``moment_oracle`` at order 3.  For even degree its
     class contains no 3-blocks, which is exactly why the third moment
     matches the semicircular one there."""
+    law.require("free oracle", 0, FreeLaw)
     return moment_oracle(kernel, law, 3)
 
 

@@ -128,9 +128,12 @@ class _LawBase:
             )
         return self.cumulants[j - 1]
 
-    def require(self, what: str, upto: int) -> None:
-        """Refuse a law unless ``m_1..m_upto`` are ``(0, 1, 0)[:upto]``: 3 is
-        assumption (A), 2 is assumption (B), 1 asks for a centered law."""
+    def require(self, what: str, upto: int, regime: type | None = None) -> None:
+        """Refuse a law not of the ``regime`` given, or unless ``m_1..m_upto``
+        are ``(0, 1, 0)[:upto]``: 3 is assumption (A), 2 is (B), 1 centered,
+        0 nothing (the regime alone)."""
+        if regime is not None and not isinstance(self, regime):
+            raise AssumptionViolation(f"{what} needs a {regime.__name__}, got a {type(self).__name__}")
         need = (0, 1, 0)[:upto]
         violated = [f"m{j} = {m} (need {v})" for j, (m, v) in enumerate(zip(self.moments, need), 1) if m != v]
         if violated:

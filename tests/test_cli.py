@@ -1,10 +1,13 @@
 """Command-line front end: subcommands, law parsing, formats, error paths."""
 
+import gc
 import importlib
 import json
+import os
 import random
 import re
 import shlex
+import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -26,7 +29,8 @@ from homsums import (
 )
 from homsums.cli import build_parser, main, parse_law, parse_number
 
-README = Path(__file__).resolve().parents[1] / "README.md"
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
 
 
 @pytest.fixture
@@ -458,9 +462,56 @@ def test_out_file_written_atomically(tmp_path, pair_file, capsys):
     assert leftovers == []
 
 
+# -- the process entry ------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["moments", "{kernel}", "--law", "m4=9/2"], 0),
+        (["moments", "{kernel}", "--law", "gaussian", "--orders", "2,6"], 1),
+        (["moments", "{kernel}"], 2),
+        (["moments", "{kernel}", "--law", "gaussian", "--regime", "classical", "--out", "{out}"], 0),
+    ],
+    ids=["moments", "refused", "usage-error", "out-file"],
+)
+def test_process_entry_matches_main(tmp_path, pair_file, capsys, monkeypatch, argv, code):
+    """``python -m homsums.cli`` exits through ``run``, which freezes the heap
+    before shutdown: its stdout, stderr, exit code and ``--out`` file match
+    ``main``'s in this process byte for byte, and ``main`` never freezes."""
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps its usage line to the terminal
+
+    def argv_for(out):
+        return [a.format(kernel=pair_file, out=tmp_path / out) for a in argv]
+
+    try:
+        got = (main(argv_for("in-process.json")),)
+    except SystemExit as exc:
+        got = (exc.code,)
+    captured = capsys.readouterr()
+    got += (captured.out.encode(), captured.err.encode())
+    assert gc.get_freeze_count() == 0
+    # block-buffered stdio, as in a pipeline, so an exit that skips the flush shows
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"} | {"PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run(
+        [sys.executable, "-m", "homsums.cli", *argv_for("child.json")], env=env, capture_output=True, timeout=120
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == got
+    assert got[0] == code and got[2].startswith({0: b"", 1: b"error: ", 2: b"usage: homsums moments"}[code])
+    if "--out" in argv:
+        assert (tmp_path / "child.json").read_bytes() == (tmp_path / "in-process.json").read_bytes()
+        assert json.loads((tmp_path / "child.json").read_text())["orders"].keys() == {"2", "4"}
+
+
+def test_installed_script_exits_through_run():
+    """The console script is ``run``, not ``main``; read as text, since the
+    3.10 floor has no ``tomllib``."""
+    assert 'homsums = "homsums.cli:run"' in (ROOT / "pyproject.toml").read_text()
+
+
 # -- the benchmark's pinned payloads ---------------------------------------------------
 
-PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+PERFBENCH = ROOT / "perfbench"
 
 
 def _perfbench(name):

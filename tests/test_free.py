@@ -26,6 +26,8 @@ from homsums import (
     Kernel,
     KernelFamily,
     MissingCumulant,
+    classical_fourth_moment_formula,
+    classical_fourth_moment_oracle,
     family_kernel,
     free_difference_identity,
     free_fourth_moment,
@@ -493,6 +495,26 @@ def test_moment_oracle_refusals():
     for law in (ClassicalLaw((1, 1, 0, 3)), FreeLaw((1, 2, 5, 20))):
         with pytest.raises(AssumptionViolation, match=r"partition oracle needs a centered law"):
             moment_oracle(kernel, law, 3)
+
+
+@pytest.mark.parametrize(
+    "engine, law, needs",
+    [
+        (classical_fourth_moment_oracle, FreeLaw.semicircle(), "classical oracle needs a ClassicalLaw, got a FreeLaw"),
+        (classical_fourth_moment_formula, FreeLaw.semicircle(), "closed form needs a ClassicalLaw, got a FreeLaw"),
+        (free_third_moment_oracle, ClassicalLaw.rademacher(), "free oracle needs a FreeLaw, got a ClassicalLaw"),
+        (free_fourth_moment_oracle, ClassicalLaw.rademacher(), "free oracle needs a FreeLaw, got a ClassicalLaw"),
+        (free_fourth_moment, ClassicalLaw.gaussian(), "free closed form needs a FreeLaw, got a ClassicalLaw"),
+    ],
+    ids=["classical-oracle", "classical-closed-form", "free-third-oracle", "free-fourth-oracle", "free-closed-form"],
+)
+def test_fixed_regime_engines_refuse_the_other_regime(engine, law, needs):
+    """An engine of one regime refuses a law of the other by name, instead of
+    answering in the law's regime; ``moment_oracle`` alone takes both."""
+    kernel = random_admissible_kernel(random.Random(1), 2, 4)
+    with pytest.raises(AssumptionViolation, match=f"^{needs}$"):
+        engine(kernel, law)
+    assert moment_oracle(kernel, law, 4).method == "enumeration"
 
 
 # -- pinned reports ---------------------------------------------------------------------
