@@ -105,7 +105,10 @@ def _write_out(text: str, out: str | None) -> None:
             sys.stdout.write("\n")
         return
     directory = os.path.dirname(os.path.abspath(out))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".homsums-")
+    try:
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".homsums-")
+    except OSError as exc:  # name the user's path, not the temporary one
+        raise OSError(exc.errno, exc.strerror, out) from None
     try:
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
@@ -261,15 +264,24 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except HomsumError as exc:
+    except BrokenPipeError:
+        raise  # a closed stdout is ``run``'s to handle
+    except (HomsumError, OSError) as exc:  # OSError: an unreadable kernel file or unwritable ``--out``
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
 
 def run(argv=None) -> None:
-    """The process entry: ``main``, then ``gc.freeze()`` so the collection at
-    shutdown skips the heap.  Callers that stay alive call ``main``."""
-    code = main(argv)
+    """The process entry (callers that stay alive call ``main``): ``main``, a
+    stdout flush, then ``gc.freeze()`` so the collection at shutdown skips the
+    heap.  A gone stdout reader exits 1, with stdout on ``os.devnull`` so the
+    shutdown flush cannot fail again (the recipe in Python's ``signal`` docs)."""
+    try:
+        code = main(argv)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
     gc.freeze()
     sys.exit(code)
 

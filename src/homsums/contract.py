@@ -21,17 +21,12 @@ then divides the denominator back out and applies the kernel's squared
 scale, so results are exact rationals and no other module sees the integers.
 
 ``KernelContractor.type_value`` contracts a type by one of three tiers,
-chosen from the kernel and the type alone.  All read each copy's blocks
-straight from the type key (``_copy_blocks``), in any order, the kernel being
-symmetric.  The two dense tiers contract the full numerator tensor, one axis
-per block, pairwise in a greedy order planned from the copies' blocks: each
-step takes the pair whose result keeps the fewest blocks, then sums the most.
-The plan is compiled once per type, open block and ``n`` (``_pairwise_plan``):
-each step transposes and reshapes its two operands to a batched
-``np.matmul``, so a call re-plans nothing.  A dense tier needs degree
-at least 2, a tensor of at most ``DENSE_CAP`` entries with at least
-``1/DENSE_SPARSITY`` of them nonzero, and a planned path of pairwise steps
-whose intermediates stay within ``DENSE_CAP``.  Every product and every
+chosen from the kernel and the type alone, all running the type's one
+greedy pairwise plan (``_pairwise_plan``): as batched ``np.matmul`` steps on
+the full numerator tensor, whose intermediates stay within ``DENSE_CAP``,
+on a dense tier, and as uncapped dict joins on the sparse one.  A dense
+tier needs degree at least 2 and a tensor of at most ``DENSE_CAP`` entries,
+at least ``1/DENSE_SPARSITY`` of them nonzero.  Every product and every
 partial sum of every step, in any order, is at most
 ``bound = max|num|^k * n^blocks`` in absolute value, so the tier is:
 
@@ -42,16 +37,15 @@ partial sum of every step, in any order, is at most
   Ogita, Oishi and Rump, *Numer. Algorithms* 59, 2012);
 * int64, when ``2^53 <= bound < 2^63``: the same plan on the int64 tensor,
   which cannot overflow (numpy runs it without BLAS);
-* sparse: otherwise (float-mode kernels, with denominators near 2^52, land
-  here), sequential copy elimination over the ordered support (Python ints,
-  no bound).  Each copy lists its live blocks first, so the support needs
-  one index per live-block count, at most ``d + 1``.
+* sparse: otherwise, or when a dense plan finds no path within the cap
+  (float-mode kernels, with denominators near 2^52, land here), on the
+  support's symmetric extension, ``{ordered tuple: num}``, in Python ints.
 
 All three give the same integer, and a dense result converts back to an
 exact int.  A type's tier is picked once, when it is first contracted; the
 contractor counts the distinct types each tier contracted in
-``backend_types``.  Each dense tensor is built once per kernel through
-``Kernel.derived``, the first time a type needs its tier.
+``backend_types``.  Each tier's operand is built once per kernel through
+``Kernel.derived``, the first time a type needs that tier.
 
 Exact assembly runs once per block-size profile, not once per type and law:
 ``profile_sum`` memoizes, per ``(k, sizes, noncrossing, profile)``, the
@@ -61,8 +55,7 @@ per cumulant map and class (``_profile_weights``).  A zero-weight profile
 contracts no type.
 
 ``type_marginal`` leaves a type's one full block (all ``k`` copies) unsummed,
-one integer per index: the plan's output on the dense backend, a block live
-past the last copy on the sparse one, with the same memo and dispatch.
+one integer per index, the plan's last operand, with the same memo and tiers.
 """
 
 from __future__ import annotations
@@ -72,6 +65,7 @@ import math
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache, partial
+from operator import itemgetter
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -87,8 +81,8 @@ TypeKey = tuple[int, ...]
 
 #: The dense tiers run only on kernels whose full tensor has at most
 #: DENSE_CAP entries, at least 1/DENSE_SPARSITY of them nonzero (sparser
-#: kernels contract faster by the sparse walk).  DENSE_CAP also bounds every
-#: intermediate of a planned contraction.
+#: kernels contract faster by dict joins).  DENSE_CAP also bounds every
+#: intermediate of a dense plan.
 DENSE_CAP = 1 << 22
 DENSE_SPARSITY = 32
 
@@ -134,20 +128,25 @@ def _copy_blocks(tkey: TypeKey, k: int) -> list[list[int]]:
     return [[b for b, mask in enumerate(tkey) if mask >> u & 1] for u in range(k)]
 
 
-@lru_cache(maxsize=None)
-def _pairwise_plan(tkey: TypeKey, k: int, open_block: int | None, n: int) -> tuple | None:
-    """A greedy pairwise contraction order for ``k`` copies of an ``n^d``
-    tensor along the type's blocks, summing every block but ``open_block``,
-    compiled to batched-matmul steps that run with no re-planning.
+def _picker(letters: list[int], wanted: list[int]):
+    """Maps an operand's entry (over ``letters``) to its ``wanted`` indices."""
+    pos = [letters.index(c) for c in wanted]
+    return itemgetter(*pos) if len(pos) > 1 else (lambda t: (t[pos[0]],) if pos else ())
 
-    Each step contracts the pair of operands whose result keeps the fewest
-    blocks, then sums the most (ties to the lowest pair), among the pairs
-    whose result has at most ``DENSE_CAP`` entries; the result replaces the
-    pair at the end of the list.  A step holds the two operand positions it
-    pops (highest first), each operand's axis order and 3-d shape for
-    ``matmul`` (the first as batch, kept, summed blocks; the second as batch,
-    summed, kept) and the result's shape (its blocks: the batch, then each
-    side's kept).  None when no pair fits, or when a block of one operand
+
+@lru_cache(maxsize=None)
+def _pairwise_plan(tkey: TypeKey, k: int, open_block: int | None, n: int | None = None) -> tuple | None:
+    """A greedy pairwise contraction order for ``k`` copies of the kernel
+    along the type's blocks, summing every block but ``open_block``, compiled
+    so that a call re-plans nothing.  Each step contracts the pair whose
+    result keeps the fewest blocks, then sums the most (ties to the lowest
+    pair), among the pairs that fit (with ``n``, those whose result has at
+    most ``DENSE_CAP`` entries; without, all); the result (the batch, then
+    each side's kept blocks) replaces the pair at the end of the list.  A step
+    holds the operand positions it pops (highest first), then each operand's
+    axis order and 3-d shape for ``matmul`` (batch, kept, summed blocks; then
+    batch, summed, kept) and the result's shape, or without ``n`` the
+    ``_join`` pickers.  None when no pair fits, or a block of one operand
     alone would be summed."""
     operands = _copy_blocks(tkey, k)
     steps = []
@@ -160,7 +159,7 @@ def _pairwise_plan(tkey: TypeKey, k: int, open_block: int | None, n: int) -> tup
             summed = [c for c in a if c in b and c not in keep]
             left, right = [c for c in a if c not in b], [c for c in b if c not in a]
             result = batch + left + right
-            if keep.issuperset(left + right) and n ** len(result) <= DENSE_CAP:
+            if keep.issuperset(left + right) and (n is None or n ** len(result) <= DENSE_CAP):
                 sides = (batch, left, summed), (batch, summed, right)
                 pairs.append((len(result), -len(summed), j, i, result, *sides))
         if not pairs:
@@ -168,6 +167,11 @@ def _pairwise_plan(tkey: TypeKey, k: int, open_block: int | None, n: int) -> tup
         *_, j, i, result, a_axes, b_axes = min(pairs)
         a, b = operands.pop(i), operands.pop(j)
         operands.append(result)
+        if n is None:
+            (batch, left, summed), (_, _, right) = a_axes, b_axes
+            pickers = (a, batch + summed), (a, batch + left), (b, batch + summed), (b, right)
+            steps.append(((i, j), *(_picker(*p) for p in pickers)))
+            continue
         steps.append((
             (i, j),
             tuple(a.index(c) for axes in a_axes for c in axes),
@@ -177,6 +181,39 @@ def _pairwise_plan(tkey: TypeKey, k: int, open_block: int | None, n: int) -> tup
             (n,) * len(result),
         ))
     return tuple(steps)
+
+
+def _matmul(a: np.ndarray, b: np.ndarray, a_axes, a_shape, b_axes, b_shape, shape) -> np.ndarray:
+    """One compiled matmul step of a dense plan."""
+    return np.matmul(a.transpose(a_axes).reshape(a_shape), b.transpose(b_axes).reshape(b_shape)).reshape(shape)
+
+
+def _join(a: dict, b: dict, a_key, a_base, b_key, b_right) -> dict:
+    """One dict-join step of a sparse plan: ``b``'s entries indexed by their
+    batch and summed indices (``b_key``); each entry of ``a`` and each match
+    on ``a_key`` add their product under ``a``'s batch and kept indices
+    (``a_base``) followed by the match's kept ones (``b_right``)."""
+    index: dict[tuple[int, ...], list] = {}
+    for t, v in b.items():
+        index.setdefault(b_key(t), []).append((b_right(t), v))
+    out: dict[tuple[int, ...], int] = {}
+    for t, v in a.items():
+        base = a_base(t)
+        for r, w in index.get(a_key(t), ()):
+            key = base + r
+            out[key] = out.get(key, 0) + v * w
+    return out
+
+
+def _run_steps(operand, k: int, steps: tuple, step):
+    """Run a compiled plan from ``k`` copies of ``operand``, each step
+    ``step(a, b, *rest)`` on the operands it pops; the one operand left."""
+    operands = [operand] * k
+    for pops, *rest in steps:
+        a, b = (operands.pop(i) for i in pops)
+        operands.append(step(a, b, *rest))
+    (out,) = operands
+    return out
 
 
 def _dense_top(kernel: Kernel) -> int | None:
@@ -212,6 +249,14 @@ def _dense_tensor(kernel: Kernel, dtype) -> np.ndarray:
 TIER_TENSORS = {tier: partial(_dense_tensor, dtype=np.dtype(tier)) for tier in ("float64", "int64")}
 
 
+def sparse_operand(kernel: Kernel) -> dict[tuple[int, ...], int]:
+    """The integer numerators' symmetric extension as ``{ordered tuple:
+    num}``, ``d!`` entries per support tuple: the sparse tier's operand,
+    built once per kernel through ``Kernel.derived``."""
+    _, nums = kernel.int_entries()
+    return {p: v for t, v in nums.items() for p in itertools.permutations(t)}
+
+
 def dense_tier(kernel: Kernel, k: int, indices: int) -> str | None:
     """The dense tier that contracts ``k`` copies of the kernel summed over
     ``indices`` index variables exactly: ``"float64"`` when every partial
@@ -234,24 +279,17 @@ def run_plan(tensor: np.ndarray, tkey: TypeKey, k: int, open_block: int | None =
     steps = _pairwise_plan(tkey, k, open_block, tensor.shape[0])
     if steps is None:
         return None
-    operands = [tensor] * k
-    for pops, a_axes, a_shape, b_axes, b_shape, shape in steps:
-        a, b = (operands.pop(i) for i in pops)
-        ab = np.matmul(a.transpose(a_axes).reshape(a_shape), b.transpose(b_axes).reshape(b_shape))
-        operands.append(ab.reshape(shape))
-    (out,) = operands
+    out = _run_steps(tensor, k, steps, _matmul)
     return int(out) if open_block is None else tuple(out.astype(np.int64).tolist())
 
 
 class KernelContractor:
-    """Contraction state for one kernel: the ordered support indexed by
-    prefix length, a per-incidence-type memo, and the count of distinct
-    types contracted by each tier."""
+    """Contraction state for one kernel: its common denominator, a per-type
+    memo, and the count of distinct types each tier contracted."""
 
     def __init__(self, kernel: Kernel):
         self.kernel = kernel
-        self.den, self.ints = kernel.int_entries()
-        self._patterns: dict[int, dict[tuple[int, ...], list]] = {}
+        self.den, _ = kernel.int_entries()
         self._type_memo: dict[tuple[int, TypeKey, int | None], int | tuple[int, ...]] = {}
         self._profile_memo: dict[tuple[int, frozenset[int], bool, tuple[int, ...]], Fraction] = {}
         self.backend_types: Counter[str] = Counter()
@@ -262,66 +300,16 @@ class KernelContractor:
         computed once per kernel no matter how many laws reuse them."""
         return kernel.derived(cls)
 
-    def _pattern_index(self, r: int) -> dict[tuple[int, ...], list]:
-        """Every ordering ``p`` of every support tuple, keyed by its first
-        ``r`` values: ``{p[:r]: [(p[r:], num), ...]}``."""
-        idx = self._patterns.get(r)
-        if idx is None:
-            idx = {}
-            for t, v in self.ints.items():
-                for p in itertools.permutations(t):
-                    idx.setdefault(p[:r], []).append((p[r:], v))
-            self._patterns[r] = idx
-        return idx
+    def _contract_sparse(self, tkey: TypeKey, k: int, open_block: int | None = None) -> int | tuple[int, ...]:
+        """The type's integer contraction by its uncapped pairwise plan, run
+        as dict joins on the sparse operand in Python ints."""
+        steps = _pairwise_plan(tkey, k, open_block)
+        if steps is None:
+            raise HomsumError(f"type {tkey} has a block on one copy alone, which no pairwise step sums")
+        out = _run_steps(self.kernel.derived(sparse_operand), k, steps, _join)
+        return out.get((), 0) if open_block is None else tuple(out.get((i,), 0) for i in range(1, self.kernel.n + 1))
 
-    def _contract_sparse(
-        self, tkey: TypeKey, k: int, open_block: int | None = None
-    ) -> int | tuple[int, ...]:
-        """The type's integer contraction by sequential copy elimination with
-        live-variable projection.  Each copy takes its live blocks' indices
-        from the state as a prefix and its new blocks' from the matching
-        suffixes.  An open block stays live past the last copy, and the
-        final states, grouped by its index, give one integer per index in
-        ``[n]``."""
-        copies = _copy_blocks(tkey, k)
-        last_use = {b: u for u, blocks in enumerate(copies) for b in blocks}
-        if open_block is not None:
-            last_use[open_block] = k
-        states: dict[tuple[int, ...], int] = {(): 1}
-        live: list[int] = []
-        for u, blocks in enumerate(copies):
-            bound_sel = [live.index(b) for b in blocks if b in live]
-            new = [b for b in blocks if b not in live]
-            idx = self._pattern_index(len(bound_sel))
-            keep_old = [i for i, b in enumerate(live) if last_use[b] > u]
-            keep_new = [i for i, b in enumerate(new) if last_use[b] > u]
-            live = [live[i] for i in keep_old] + [new[i] for i in keep_new]
-            new_states: dict[tuple[int, ...], int] = {}
-            for st, coeff in states.items():
-                matches = idx.get(tuple(st[i] for i in bound_sel))
-                if not matches:
-                    continue
-                base = tuple(st[i] for i in keep_old)
-                for fv, v in matches:
-                    key = base + tuple(fv[i] for i in keep_new)
-                    c = coeff * v
-                    if key in new_states:
-                        new_states[key] += c
-                    else:
-                        new_states[key] = c
-            states = new_states
-            if not states:
-                break
-        if open_block is None:
-            return sum(states.values())
-        per_index = [0] * self.kernel.n
-        for (i,), c in states.items():
-            per_index[i - 1] = c
-        return tuple(per_index)
-
-    def _contract_dense(
-        self, tkey: TypeKey, k: int, open_block: int | None = None
-    ) -> tuple[int | tuple[int, ...], str] | None:
+    def _contract_dense(self, tkey: TypeKey, k: int, open_block: int | None = None) -> tuple | None:
         """The type's integer contraction by its compiled pairwise plan on
         the tensor of its dense tier, with that tier; None when no dense tier
         may run it (see the module docstring)."""

@@ -3,7 +3,7 @@ slices, influences, the overlap contraction, and the named kernel families.
 
 The engines build no slice kernels (their slice sums are parent-kernel
 contractions); ``slice_kernel`` is a library helper.  The contraction
-backends, and the dense numerator tensor they cache through
+tiers, and the numerator tensors and the sparse operand they cache through
 ``Kernel.derived``, live in ``contract``.
 
 Storage convention: only strictly increasing index tuples are kept, in

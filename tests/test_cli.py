@@ -503,6 +503,43 @@ def test_process_entry_matches_main(tmp_path, pair_file, capsys, monkeypatch, ar
         assert json.loads((tmp_path / "child.json").read_text())["orders"].keys() == {"2", "4"}
 
 
+@pytest.mark.parametrize("n_max", ["200", "6"], ids=["past-the-buffer", "buffered"])
+def test_closed_stdout_exits_quietly(n_max):
+    """A child whose stdout reader has gone before it writes exits 1 with an
+    empty stderr: at n-max 200 the output (about 12 kB) outgrows stdout's
+    buffer and the write fails inside ``main``; at 6 it stays buffered and
+    ``run``'s flush fails, before the one at shutdown could."""
+    read, write = os.pipe()
+    os.close(read)
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"} | {"PYTHONPATH": str(ROOT / "src")}
+    argv = ["analyze", "off-diagonal-pair", "--law", "rademacher", "--n-max", n_max]
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "homsums.cli", *argv], stdout=write, stderr=subprocess.PIPE, env=env, timeout=120
+        )
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (1, b"")
+
+
+@pytest.mark.parametrize(
+    "argv, path",
+    [
+        (["moments", "{missing}/kernel.json", "--law", "gaussian"], "{missing}/kernel.json"),
+        (["analyze", "off-diagonal-pair", "--law", "rademacher", "--n-max", "6", "--out", "{missing}/x.csv"], "{missing}/x.csv"),
+    ],
+    ids=["kernel-file", "out-dir"],
+)
+def test_file_errors_are_error_lines(tmp_path, capsys, argv, path):
+    """A kernel file that cannot be read and an ``--out`` whose directory
+    does not exist are each one error line naming the user's path, exit 1,
+    not a traceback."""
+    missing = tmp_path / "missing"
+    code, out, err = run([a.format(missing=missing) for a in argv], capsys)
+    assert (code, out) == (1, "")
+    assert err == f"error: [Errno 2] No such file or directory: '{path.format(missing=missing)}'\n"
+
+
 def test_installed_script_exits_through_run():
     """The console script is ``run``, not ``main``; read as text, since the
     3.10 floor has no ``tomllib``."""

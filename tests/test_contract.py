@@ -116,16 +116,20 @@ def test_exact_matches_naive_sum(rng):
     naive assignment sum partition by partition: ``exact`` on every
     partition, ``exact_marginal`` per index on those with one 4-block.  The
     default contractor runs dense where the kernel allows it, the other has
-    its dense backend off; the sparse walk builds at most d + 1 pattern
-    indexes, one per live-block count."""
+    its dense backend off; a float-mode kernel of degree 3 runs sparse in
+    both.  The sparse operand is built once per kernel and holds d! entries
+    per support tuple."""
     k4 = 4
     raw = {t: rng.uniform(-1, 1) for t in itertools.combinations(range(1, 4), 2)}
+    raw3 = {t: rng.uniform(-1, 1) for t in itertools.combinations(range(1, 5), 3)}
     kernels = [
         random_admissible_kernel(rng, 2, 3),
         family_kernel(KernelFamily("star", 2), 4),
         make_admissible(raw, 3, 2),
         random_admissible_kernel(rng, 3, 4),
+        make_admissible(raw3, 4, 3),
     ]
+    assert kernels[-1].mode == "float"
     for kernel in kernels:
         d = kernel.d
         default, sparse = KernelContractor(kernel), KernelContractor(kernel)
@@ -143,7 +147,33 @@ def test_exact_matches_naive_sum(rng):
                 assert default.exact_marginal(types, k4) == want == sparse.exact_marginal(types, k4), (kernel, p)
         assert marginals
         assert set(sparse.backend_types) == {"sparse"}
-        assert 0 < len(sparse._patterns) <= d + 1
+        operand = kernel.derived(contract.sparse_operand)
+        assert len(operand) == math.factorial(d) * kernel.support_size
+        assert kernel._derived[contract.sparse_operand] is operand
+    assert set(default.backend_types) == {"sparse"}  # the float-mode d = 3 kernel's, on the default contractor
+
+
+def test_sparse_join_on_a_disconnected_type():
+    """On the sparse tier, the type (3, 3, 12, 12) is two separate 2-copy
+    contractions, so its value is the square of the type (3, 3) at k = 2; its
+    plan's last step joins two operands with no blocks left.  A type with an
+    open full block gives per-index integers adding up to its value.  Both
+    equal the dense tier's."""
+    kernel = random_admissible_kernel(random.Random(11), 2, 5)
+    dense, sparse = KernelContractor(kernel), KernelContractor(kernel)
+    sparse._contract_dense = lambda *args: None
+    *_, (_pops, *pickers) = contract._pairwise_plan((3, 3, 12, 12), 4, None)
+    assert all(pick((1, 2)) == () for pick in pickers)
+    pair = sparse.type_value((3, 3), 2)
+    assert sparse.type_value((3, 3, 12, 12), 4) == pair**2 == dense.type_value((3, 3, 12, 12), 4)
+    assert pair == dense.type_value((3, 3), 2) != 0
+    kernel3 = random_admissible_kernel(random.Random(12), 3, 5)
+    dense, sparse = KernelContractor(kernel3), KernelContractor(kernel3)
+    sparse._contract_dense = lambda *args: None
+    marginal = sparse.type_marginal((3, 3, 12, 12, 15), 4)
+    assert marginal == dense.type_marginal((3, 3, 12, 12, 15), 4)
+    assert sum(marginal) == sparse.type_value((3, 3, 12, 12, 15), 4)
+    assert set(sparse.backend_types) == {"sparse"} and set(dense.backend_types) == {"float64"}
 
 
 def test_degree_four_product_kernel_wick_value():
