@@ -107,16 +107,16 @@ def _write_out(text: str, out: str | None) -> None:
     directory = os.path.dirname(os.path.abspath(out))
     try:
         fd, tmp = tempfile.mkstemp(dir=directory, prefix=".homsums-")
+        try:
+            with os.fdopen(fd, "w") as fh:
+                fh.write(text)
+            os.replace(tmp, out)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise
     except OSError as exc:  # name the user's path, not the temporary one
         raise OSError(exc.errno, exc.strerror, out) from None
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, out)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
 
 
 def build_parser() -> argparse.ArgumentParser:

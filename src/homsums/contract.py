@@ -21,14 +21,16 @@ then divides the denominator back out and applies the kernel's squared
 scale, so results are exact rationals and no other module sees the integers.
 
 ``KernelContractor.type_value`` contracts a type by one of three tiers,
-chosen from the kernel and the type alone, all running the type's one
-greedy pairwise plan (``_pairwise_plan``): as batched ``np.matmul`` steps on
-the full numerator tensor, whose intermediates stay within ``DENSE_CAP``,
-on a dense tier, and as uncapped dict joins on the sparse one.  A dense
-tier needs degree at least 2 and a tensor of at most ``DENSE_CAP`` entries,
-at least ``1/DENSE_SPARSITY`` of them nonzero.  Every product and every
-partial sum of every step, in any order, is at most
-``bound = max|num|^k * n^blocks`` in absolute value, so the tier is:
+all running the type's one greedy pairwise plan (``_pairwise_plan``,
+planned once per type and open block, whatever ``n``): as batched
+``np.matmul`` steps on the full numerator tensor on a dense tier, and as
+dict joins on the sparse one.  The tier is picked from the kernel and the
+plan before any operand is built.  A dense tier needs the plan's widest
+step result, ``n**width`` entries, within ``DENSE_CAP``, degree at least 2
+and a tensor of at most ``DENSE_CAP`` entries, at least
+``1/DENSE_SPARSITY`` of them nonzero.  Every product and every partial sum
+of every step, in any order, is at most ``bound = max|num|^k * n^blocks``
+in absolute value, so the tier is:
 
 * float64, when ``bound < 2^53``: the tensor in float64, each step a BLAS
   ``dgemm``.  Every value along the way is an integer below 2^53, which
@@ -37,7 +39,7 @@ partial sum of every step, in any order, is at most
   Ogita, Oishi and Rump, *Numer. Algorithms* 59, 2012);
 * int64, when ``2^53 <= bound < 2^63``: the same plan on the int64 tensor,
   which cannot overflow (numpy runs it without BLAS);
-* sparse: otherwise, or when a dense plan finds no path within the cap
+* sparse: otherwise, or when the plan's widest result exceeds the cap
   (float-mode kernels, with denominators near 2^52, land here), on the
   support's symmetric extension, ``{ordered tuple: num}``, in Python ints.
 
@@ -135,21 +137,22 @@ def _picker(letters: list[int], wanted: list[int]):
 
 
 @lru_cache(maxsize=None)
-def _pairwise_plan(tkey: TypeKey, k: int, open_block: int | None, n: int | None = None) -> tuple | None:
+def _pairwise_plan(tkey: TypeKey, k: int, open_block: int | None) -> tuple | None:
     """A greedy pairwise contraction order for ``k`` copies of the kernel
-    along the type's blocks, summing every block but ``open_block``, compiled
-    so that a call re-plans nothing.  Each step contracts the pair whose
-    result keeps the fewest blocks, then sums the most (ties to the lowest
-    pair), among the pairs that fit (with ``n``, those whose result has at
-    most ``DENSE_CAP`` entries; without, all); the result (the batch, then
-    each side's kept blocks) replaces the pair at the end of the list.  A step
-    holds the operand positions it pops (highest first), then each operand's
-    axis order and 3-d shape for ``matmul`` (batch, kept, summed blocks; then
-    batch, summed, kept) and the result's shape, or without ``n`` the
-    ``_join`` pickers.  None when no pair fits, or a block of one operand
-    alone would be summed."""
+    along the type's blocks, summing every block but ``open_block``, planned
+    once per type and compiled for both executors, so that a call re-plans
+    nothing.  Each step contracts the pair whose result keeps the fewest
+    blocks, then sums the most (ties to the lowest pair); the result (the
+    batch, then each side's kept blocks) replaces the pair at the end of the
+    list.  Returns the plan's width (the most blocks a step's result keeps:
+    a dense run's intermediates have at most ``n**width`` entries), the
+    ``_matmul`` steps (the operand positions popped, highest first; each
+    operand's axis order, as batch, kept, summed blocks and as batch,
+    summed, kept; and the batch, kept, summed, kept' block counts) and the
+    ``_join`` steps (the same pops and the pickers).  None when a block of
+    one operand alone would be summed."""
     operands = _copy_blocks(tkey, k)
-    steps = []
+    width, matmuls, joins = 0, [], []
     while len(operands) > 1:
         pairs = []
         for j, i in itertools.combinations(range(len(operands)), 2):
@@ -158,34 +161,31 @@ def _pairwise_plan(tkey: TypeKey, k: int, open_block: int | None, n: int | None 
             batch = [c for c in a if c in b and c in keep]
             summed = [c for c in a if c in b and c not in keep]
             left, right = [c for c in a if c not in b], [c for c in b if c not in a]
-            result = batch + left + right
-            if keep.issuperset(left + right) and (n is None or n ** len(result) <= DENSE_CAP):
-                sides = (batch, left, summed), (batch, summed, right)
-                pairs.append((len(result), -len(summed), j, i, result, *sides))
+            if keep.issuperset(left + right):
+                pairs.append((len(batch + left + right), -len(summed), j, i, batch, left, summed, right))
         if not pairs:
             return None
-        *_, j, i, result, a_axes, b_axes = min(pairs)
+        *_, j, i, batch, left, summed, right = min(pairs)
         a, b = operands.pop(i), operands.pop(j)
-        operands.append(result)
-        if n is None:
-            (batch, left, summed), (_, _, right) = a_axes, b_axes
-            pickers = (a, batch + summed), (a, batch + left), (b, batch + summed), (b, right)
-            steps.append(((i, j), *(_picker(*p) for p in pickers)))
-            continue
-        steps.append((
+        operands.append(batch + left + right)
+        width = max(width, len(operands[-1]))
+        matmuls.append((
             (i, j),
-            tuple(a.index(c) for axes in a_axes for c in axes),
-            tuple(n ** len(axes) for axes in a_axes),
-            tuple(b.index(c) for axes in b_axes for c in axes),
-            tuple(n ** len(axes) for axes in b_axes),
-            (n,) * len(result),
+            tuple(map(a.index, batch + left + summed)),
+            tuple(map(b.index, batch + summed + right)),
+            (len(batch), len(left), len(summed), len(right)),
         ))
-    return tuple(steps)
+        pickers = (a, batch + summed), (a, batch + left), (b, batch + summed), (b, right)
+        joins.append(((i, j), *(_picker(*p) for p in pickers)))
+    return width, tuple(matmuls), tuple(joins)
 
 
-def _matmul(a: np.ndarray, b: np.ndarray, a_axes, a_shape, b_axes, b_shape, shape) -> np.ndarray:
-    """One compiled matmul step of a dense plan."""
-    return np.matmul(a.transpose(a_axes).reshape(a_shape), b.transpose(b_axes).reshape(b_shape)).reshape(shape)
+def _matmul(a: np.ndarray, b: np.ndarray, a_axes, b_axes, counts, n: int) -> np.ndarray:
+    """One compiled matmul step of a dense plan on index range ``n``: both
+    operands transposed and reshaped to 3-d from their block counts."""
+    batch, left, summed, right = (n**c for c in counts)
+    a, b = a.transpose(a_axes).reshape(batch, left, summed), b.transpose(b_axes).reshape(batch, summed, right)
+    return np.matmul(a, b).reshape((n,) * (counts[0] + counts[1] + counts[3]))
 
 
 def _join(a: dict, b: dict, a_key, a_base, b_key, b_right) -> dict:
@@ -271,18 +271,6 @@ def dense_tier(kernel: Kernel, k: int, indices: int) -> str | None:
     return "int64" if bound < 1 << 63 else None
 
 
-def run_plan(tensor: np.ndarray, tkey: TypeKey, k: int, open_block: int | None = None):
-    """A type's contraction by its compiled pairwise plan on ``tensor`` (of
-    either dense dtype), as an exact int or, with an open block, a tuple of
-    ints; None when the planner finds no path.  Exact only when the tensor's
-    dtype holds every partial sum (``dense_tier``)."""
-    steps = _pairwise_plan(tkey, k, open_block, tensor.shape[0])
-    if steps is None:
-        return None
-    out = _run_steps(tensor, k, steps, _matmul)
-    return int(out) if open_block is None else tuple(out.astype(np.int64).tolist())
-
-
 class KernelContractor:
     """Contraction state for one kernel: its common denominator, a per-type
     memo, and the count of distinct types each tier contracted."""
@@ -300,33 +288,26 @@ class KernelContractor:
         computed once per kernel no matter how many laws reuse them."""
         return kernel.derived(cls)
 
-    def _contract_sparse(self, tkey: TypeKey, k: int, open_block: int | None = None) -> int | tuple[int, ...]:
-        """The type's integer contraction by its uncapped pairwise plan, run
-        as dict joins on the sparse operand in Python ints."""
-        steps = _pairwise_plan(tkey, k, open_block)
-        if steps is None:
-            raise HomsumError(f"type {tkey} has a block on one copy alone, which no pairwise step sums")
-        out = _run_steps(self.kernel.derived(sparse_operand), k, steps, _join)
-        return out.get((), 0) if open_block is None else tuple(out.get((i,), 0) for i in range(1, self.kernel.n + 1))
-
-    def _contract_dense(self, tkey: TypeKey, k: int, open_block: int | None = None) -> tuple | None:
-        """The type's integer contraction by its compiled pairwise plan on
-        the tensor of its dense tier, with that tier; None when no dense tier
-        may run it (see the module docstring)."""
-        tier = dense_tier(self.kernel, k, len(tkey))
-        if tier is None:
-            return None
-        val = run_plan(self.kernel.derived(TIER_TENSORS[tier]), tkey, k, open_block)
-        return None if val is None else (val, tier)
-
     def _contract(self, tkey: TypeKey, k: int, open_block: int | None):
         """Memoized contraction of a type, summed over every block but
-        ``open_block``, by the first tier that may run it."""
+        ``open_block``, by its pairwise plan on the one tier picked before
+        any operand is built: the kernel's dense tier when the plan's widest
+        result fits in ``DENSE_CAP`` entries, else the sparse one."""
         memo_key = (k, tkey, open_block)
         val = self._type_memo.get(memo_key)
         if val is None:
-            dense = self._contract_dense(tkey, k, open_block)
-            val, tier = dense or (self._contract_sparse(tkey, k, open_block), "sparse")
+            plan = _pairwise_plan(tkey, k, open_block)
+            if plan is None:
+                raise HomsumError(f"type {tkey} has a block on one copy alone, which no pairwise step sums")
+            width, matmuls, joins = plan
+            n = self.kernel.n
+            tier = (n**width <= DENSE_CAP and dense_tier(self.kernel, k, len(tkey))) or "sparse"
+            if tier == "sparse":
+                out = _run_steps(self.kernel.derived(sparse_operand), k, joins, _join)
+                val = out.get((), 0) if open_block is None else tuple(out.get((i,), 0) for i in range(1, n + 1))
+            else:
+                out = _run_steps(self.kernel.derived(TIER_TENSORS[tier]), k, matmuls, partial(_matmul, n=n))
+                val = int(out) if open_block is None else tuple(out.astype(np.int64).tolist())
             self.backend_types[tier] += 1
             self._type_memo[memo_key] = val
         return val

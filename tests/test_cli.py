@@ -21,6 +21,7 @@ from homsums import (
     FreeLaw,
     HomsumError,
     KernelFamily,
+    analyze_family,
     classical_fourth_moment_formula,
     classical_fourth_moment_oracle,
     family_kernel,
@@ -218,6 +219,23 @@ def test_analyze_free_regime_json(capsys):
     payload = json.loads(out)
     got = {row["n"]: row["fourth_cumulant_scaled"] for row in payload["rows"]}
     assert got == {n: pytest.approx(0.5 - 1.0 / n) for n in range(2, 7)}
+
+
+@pytest.mark.parametrize(
+    "regime, law, message",
+    [
+        ("classical", FreeLaw.semicircle(), "closed form needs a ClassicalLaw, got a FreeLaw"),
+        ("free", ClassicalLaw.gaussian(), "free closed form needs a FreeLaw, got a ClassicalLaw"),
+        ("both", ClassicalLaw.gaussian(), "unknown regime 'both'"),
+    ],
+    ids=["free-law-classical-sweep", "classical-law-free-sweep", "unknown-regime"],
+)
+def test_analyze_family_refusals(regime, law, message):
+    """The library sweep refuses a law of the other regime through its
+    engine and an unknown regime itself, each as a HomsumError."""
+    with pytest.raises(HomsumError) as err:
+        analyze_family("star", 2, [4, 5], law, regime)
+    assert str(err.value) == message
 
 
 def test_analyze_rejects_empty_sweep(capsys):
@@ -538,6 +556,19 @@ def test_file_errors_are_error_lines(tmp_path, capsys, argv, path):
     code, out, err = run([a.format(missing=missing) for a in argv], capsys)
     assert (code, out) == (1, "")
     assert err == f"error: [Errno 2] No such file or directory: '{path.format(missing=missing)}'\n"
+
+
+def test_out_onto_a_directory_names_the_users_path(tmp_path, capsys):
+    """An ``--out`` that names a directory fails at the final rename: one
+    error line naming the user's path, not the temporary file's, exit 1,
+    and no temporary file left beside it."""
+    target = tmp_path / "x.csv"
+    target.mkdir()
+    argv = ["analyze", "off-diagonal-pair", "--law", "rademacher", "--n-max", "4", "--out", str(target)]
+    code, out, err = run(argv, capsys)
+    assert (code, out) == (1, "")
+    assert err == f"error: [Errno 21] Is a directory: '{target}'\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["x.csv"]
 
 
 def test_installed_script_exits_through_run():

@@ -1,8 +1,9 @@
 """The contraction engine: incidence-type grouping, the combinatorial
 partition-class counts against explicit listing, per-partition assignment
-sums against a naive reference, and the dense backend against the sparse
-walk."""
+sums against a naive reference, and the dense tiers against the sparse
+one."""
 
+import contextlib
 import itertools
 import math
 import random
@@ -39,9 +40,18 @@ from homsums.contract import (
     dense_tier,
     grouped_types,
     incidence_type,
-    run_plan,
     weighted_sum,
 )
+
+
+@contextlib.contextmanager
+def tier_forced(tier):
+    """Inside the block, every type a contractor contracts for the first time
+    runs on ``tier`` (a dense one only where its plan fits ``DENSE_CAP``):
+    the one seam, ``contract.dense_tier``, patched."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(contract, "dense_tier", lambda *args: None if tier == "sparse" else tier)
+        yield
 
 
 def naive_partition_sum(kernel, p, k, by_full_block=False):
@@ -115,10 +125,10 @@ def test_exact_matches_naive_sum(rng):
     random one of degree 3, both exact exits of both backends equal the
     naive assignment sum partition by partition: ``exact`` on every
     partition, ``exact_marginal`` per index on those with one 4-block.  The
-    default contractor runs dense where the kernel allows it, the other has
-    its dense backend off; a float-mode kernel of degree 3 runs sparse in
-    both.  The sparse operand is built once per kernel and holds d! entries
-    per support tuple."""
+    default contractor runs dense where the kernel allows it, the other is
+    forced sparse; a float-mode kernel of degree 3 runs sparse in both.  The
+    sparse operand is built once per kernel and holds d! entries per support
+    tuple."""
     k4 = 4
     raw = {t: rng.uniform(-1, 1) for t in itertools.combinations(range(1, 4), 2)}
     raw3 = {t: rng.uniform(-1, 1) for t in itertools.combinations(range(1, 5), 3)}
@@ -133,18 +143,21 @@ def test_exact_matches_naive_sum(rng):
     for kernel in kernels:
         d = kernel.d
         default, sparse = KernelContractor(kernel), KernelContractor(kernel)
-        sparse._contract_dense = lambda *args: None
         pattern = IntervalPattern(d, 4)
         parts = enumerate_partitions(4 * d, BlockProfile({2, 4}), respect=pattern)
         marginals = 0
         for p in parts[:: len(parts) // 6]:  # a spread of shapes, crossing ones included
             types = [(incidence_type(p, k4, d), 1)]
             want = naive_partition_sum(kernel, p, k4)
-            assert default.exact(types, k4) == want == sparse.exact(types, k4), (kernel, p)
+            with tier_forced("sparse"):
+                got = sparse.exact(types, k4)
+            assert default.exact(types, k4) == want == got, (kernel, p)
             if p.block_sizes().count(4) == 1:
                 marginals += 1
                 want = naive_partition_sum(kernel, p, k4, by_full_block=True)
-                assert default.exact_marginal(types, k4) == want == sparse.exact_marginal(types, k4), (kernel, p)
+                with tier_forced("sparse"):
+                    got = sparse.exact_marginal(types, k4)
+                assert default.exact_marginal(types, k4) == want == got, (kernel, p)
         assert marginals
         assert set(sparse.backend_types) == {"sparse"}
         operand = kernel.derived(contract.sparse_operand)
@@ -161,19 +174,38 @@ def test_sparse_join_on_a_disconnected_type():
     equal the dense tier's."""
     kernel = random_admissible_kernel(random.Random(11), 2, 5)
     dense, sparse = KernelContractor(kernel), KernelContractor(kernel)
-    sparse._contract_dense = lambda *args: None
-    *_, (_pops, *pickers) = contract._pairwise_plan((3, 3, 12, 12), 4, None)
+    *_, (_pops, *pickers) = contract._pairwise_plan((3, 3, 12, 12), 4, None)[2]
     assert all(pick((1, 2)) == () for pick in pickers)
-    pair = sparse.type_value((3, 3), 2)
-    assert sparse.type_value((3, 3, 12, 12), 4) == pair**2 == dense.type_value((3, 3, 12, 12), 4)
+    with tier_forced("sparse"):
+        pair = sparse.type_value((3, 3), 2)
+        disconnected = sparse.type_value((3, 3, 12, 12), 4)
+    assert disconnected == pair**2 == dense.type_value((3, 3, 12, 12), 4)
     assert pair == dense.type_value((3, 3), 2) != 0
     kernel3 = random_admissible_kernel(random.Random(12), 3, 5)
     dense, sparse = KernelContractor(kernel3), KernelContractor(kernel3)
-    sparse._contract_dense = lambda *args: None
-    marginal = sparse.type_marginal((3, 3, 12, 12, 15), 4)
+    with tier_forced("sparse"):
+        marginal = sparse.type_marginal((3, 3, 12, 12, 15), 4)
+        whole = sparse.type_value((3, 3, 12, 12, 15), 4)
     assert marginal == dense.type_marginal((3, 3, 12, 12, 15), 4)
-    assert sum(marginal) == sparse.type_value((3, 3, 12, 12, 15), 4)
+    assert sum(marginal) == whole
     assert set(sparse.backend_types) == {"sparse"} and set(dense.backend_types) == {"float64"}
+
+
+@pytest.mark.parametrize("tier", ["float64", "sparse"])
+def test_type_with_a_lone_block_is_refused(tier):
+    """In the type (1, 2, 3) at k = 2 each copy has a block of its own,
+    which no pairwise step may sum, so it has no plan: the contractor names
+    the type on a kernel the float64 tier would take and on one the fill
+    rule sends to the sparse tier, and contracts nothing."""
+    kernel = {
+        "float64": random_admissible_kernel(random.Random(0), 2, 5),
+        "sparse": family_kernel(KernelFamily("star", 2), 100),
+    }[tier]
+    assert dense_tier(kernel, 2, 3) == (None if tier == "sparse" else tier)
+    contractor = KernelContractor(kernel)
+    with pytest.raises(HomsumError, match=r"^type \(1, 2, 3\) has a block on one copy alone"):
+        contractor.type_value((1, 2, 3), 2)
+    assert not contractor.backend_types and not contractor._type_memo
 
 
 def test_degree_four_product_kernel_wick_value():
@@ -209,37 +241,37 @@ DENSE_CLASSES = [({2}, False), ({2, 3, 4}, False), ({2}, True), ({2, 4}, True)]
 @pytest.mark.parametrize("d", [2, 3, 4, 5])
 def test_dense_contraction_equals_sparse(d):
     """Every type of the classical {2}, {2,3,4} and non-crossing {2}, {2,4}
-    classes at k = 2, 3, 4 contracts densely to the sparse walk's integer."""
+    classes at k = 2, 3, 4 contracts on its dense tier to the sparse tier's
+    integer."""
     kernel = random_admissible_kernel(random.Random(d), d, 6)
-    contractor = KernelContractor(kernel)
     checked = 0
     for (sizes, nc), k in itertools.product(DENSE_CLASSES, (2, 3, 4)):
         for tkey, _ in grouped_types(d, frozenset(sizes), k, nc):
-            value, tier = contractor._contract_dense(tkey, k)
-            assert tier == dense_tier(kernel, k, len(tkey))
-            assert value == contractor._contract_sparse(tkey, k)
+            dense, sparse = KernelContractor(kernel), KernelContractor(kernel)
+            value = dense.type_value(tkey, k)
+            assert dense.backend_types == {dense_tier(kernel, k, len(tkey)): 1}
+            with tier_forced("sparse"):
+                assert value == sparse.type_value(tkey, k)
             checked += 1
     assert checked >= 10
 
 
 def test_type_with_no_pairwise_path_runs_sparse(monkeypatch):
-    """With DENSE_CAP at 216 = 6^3 the kernel's tensor still fits, but every
-    path of the type (3, 5, 6, 9, 10, 12) needs a larger intermediate, so
-    the planner finds no pairwise path and the sparse walk contracts it, to
-    the integer the float64 plan gives under the default cap."""
+    """With DENSE_CAP at 216 = 6^3 the kernel's tensor still fits, but the
+    plan of the type (3, 5, 6, 9, 10, 12) keeps four blocks in a step
+    result, 6^4 entries, so the type runs on the sparse tier, to the
+    integer the float64 plan gives under the default cap."""
     kernel = random_admissible_kernel(random.Random(0), 3, 6)
     tkey, k = (3, 5, 6, 9, 10, 12), 4
-    contract._pairwise_plan.cache_clear()
-    want = run_plan(kernel.derived(contract.TIER_TENSORS["float64"]), tkey, k)
+    dense = KernelContractor(kernel)
+    want = dense.type_value(tkey, k)
+    assert dense.backend_types == {"float64": 1}
+    assert contract._pairwise_plan(tkey, k, None)[0] == 4
     monkeypatch.setattr(contract, "DENSE_CAP", 216)
-    contract._pairwise_plan.cache_clear()
-    try:
-        contractor = KernelContractor(kernel)
-        assert dense_tier(kernel, k, len(tkey)) == "float64"
-        assert contractor.type_value(tkey, k) == want == 1_196_430
-        assert contractor.backend_types == {"sparse": 1}
-    finally:
-        contract._pairwise_plan.cache_clear()
+    contractor = KernelContractor(kernel)
+    assert dense_tier(kernel, k, len(tkey)) == "float64"
+    assert contractor.type_value(tkey, k) == want == 1_196_430
+    assert contractor.backend_types == {"sparse": 1}
 
 
 # The cli-cold kernels' fourth moments under m4 = 9/2 (classical closed form
@@ -299,10 +331,10 @@ def numpy_greedy_cost(tkey, k, open_block, n):
     return cost
 
 
-def plan_cost(steps):
-    """Sum over a compiled plan's steps of its matmul's batch * kept *
-    summed * kept' entries."""
-    return sum(math.prod(a_shape) * b_shape[2] for _, _, a_shape, _, b_shape, _ in steps)
+def plan_cost(matmuls, n):
+    """Sum over a compiled plan's matmul steps of batch * kept * summed *
+    kept' entries at index range ``n``."""
+    return sum(n ** sum(counts) for *_, counts in matmuls)
 
 
 def planner_cases():
@@ -327,17 +359,20 @@ def planner_cases():
 
 @pytest.mark.parametrize("n", [7, 48])
 def test_plan_cost_matches_numpy_greedy(n):
-    """On every type of the classes the engines contract, the planner finds a
-    pairwise path exactly where numpy's greedy planner does, at no greater
-    cost."""
+    """On every type of the classes the engines contract, the plan is
+    dense-runnable (its widest result within ``DENSE_CAP``) exactly where
+    numpy's greedy planner finds a pairwise path under that cap, at no
+    greater cost."""
     cases = planner_cases()
     assert len(cases) == 217
     for tkey, k, open_block in cases:
-        steps = contract._pairwise_plan(tkey, k, open_block, n)
+        plan = contract._pairwise_plan(tkey, k, open_block)
+        dense = plan is not None and n ** plan[0] <= contract.DENSE_CAP
         want = numpy_greedy_cost(tkey, k, open_block, n)
-        assert (steps is None) == (want is None), (tkey, k, open_block)
-        if steps is not None:
-            assert plan_cost(steps) <= want, (tkey, k, open_block, plan_cost(steps), want)
+        assert dense == (want is not None), (tkey, k, open_block)
+        if dense:
+            cost = plan_cost(plan[1], n)
+            assert cost <= want, (tkey, k, open_block, cost, want)
 
 
 CAP_ENGINES = {  # name -> (degree, moment order, engine)
@@ -439,12 +474,13 @@ def test_type_marginal_is_equal_on_both_backends():
     dense and the sparse backend, and adds up to the type's value."""
     kernel = random_admissible_kernel(random.Random(3), 3, 5)
     dense, sparse = KernelContractor(kernel), KernelContractor(kernel)
-    sparse._contract_dense = lambda *args: None
     for tkey in ((3, 3, 12, 12, 15), (3, 5, 10, 12, 15)):
         marginal = dense.type_marginal(tkey, 4)
         assert len(marginal) == kernel.n
-        assert marginal == sparse.type_marginal(tkey, 4)
-        assert sum(marginal) == dense.type_value(tkey, 4) == sparse.type_value(tkey, 4)
+        with tier_forced("sparse"):
+            assert marginal == sparse.type_marginal(tkey, 4)
+            whole = sparse.type_value(tkey, 4)
+        assert sum(marginal) == dense.type_value(tkey, 4) == whole
     assert dense.backend_types == {"float64": 4}
     assert sparse.backend_types == {"sparse": 4}
     with pytest.raises(HomsumError):
@@ -467,21 +503,21 @@ TIER_KERNELS = {
 def test_tiers_agree_type_by_type(name):
     """Every type the engines contract on these kernels, summed whole
     (``type_value``) or with its open block (``type_marginal``), gives the
-    same integers on the float64 tensor, on the int64 tensor and by the
-    sparse walk; each of them ran in float64."""
+    same integers on the float64 tensor, on the int64 tensor and on the
+    sparse tier; each of them ran in float64."""
     kernel = TIER_KERNELS[name]()
     assert backends_used(kernel) == {"float64"}
-    contractor = KernelContractor.of(kernel)
-    floats = kernel.derived(contract.TIER_TENSORS["float64"])
-    ints = kernel.derived(contract.TIER_TENSORS["int64"])
-    assert floats.dtype == np.float64 and ints.dtype == np.int64
-    memo = contractor._type_memo
+    memo = KernelContractor.of(kernel)._type_memo
     assert any(open_block is not None for _, _, open_block in memo)
-    for (k, tkey, open_block), value in memo.items():
-        assert dense_tier(kernel, k, len(tkey)) == "float64"
-        assert run_plan(floats, tkey, k, open_block) == value, (k, tkey, open_block)
-        assert run_plan(ints, tkey, k, open_block) == value, (k, tkey, open_block)
-        assert contractor._contract_sparse(tkey, k, open_block) == value, (k, tkey, open_block)
+    assert all(dense_tier(kernel, k, len(tkey)) == "float64" for k, tkey, _ in memo)
+    for tier in ("float64", "int64", "sparse"):
+        forced = KernelContractor(kernel)
+        with tier_forced(tier):
+            for (k, tkey, open_block), value in memo.items():
+                assert forced._contract(tkey, k, open_block) == value, (tier, k, tkey, open_block)
+        assert forced.backend_types == {tier: len(memo)}
+    for tier, dtype in (("float64", np.float64), ("int64", np.int64)):
+        assert kernel.derived(contract.TIER_TENSORS[tier]).dtype == dtype
 
 
 def test_float64_equals_int64_on_large_blas_steps():
@@ -490,12 +526,13 @@ def test_float64_equals_int64_on_large_blas_steps():
     gives the int64 integers in float64, its bounds being below 2^53."""
     kernel = random_admissible_kernel(random.Random(9), 2, 256)
     assert backends_used(kernel) == {"float64"}
-    floats = kernel.derived(contract.TIER_TENSORS["float64"])
-    ints = kernel.derived(contract.TIER_TENSORS["int64"])
     memo = KernelContractor.of(kernel)._type_memo
-    for (k, tkey, open_block), value in memo.items():
-        assert run_plan(ints, tkey, k, open_block) == value, (k, tkey, open_block)
-        assert run_plan(floats, tkey, k, open_block) == value, (k, tkey, open_block)
+    for tier in ("int64", "float64"):
+        forced = KernelContractor(kernel)
+        with tier_forced(tier):
+            for (k, tkey, open_block), value in memo.items():
+                assert forced._contract(tkey, k, open_block) == value, (tier, k, tkey, open_block)
+        assert forced.backend_types == {tier: len(memo)}
 
 
 F = Fraction
