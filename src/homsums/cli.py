@@ -249,7 +249,9 @@ def cmd_sample(args) -> int:
         base=args.base,
     )
     est = estimate_moment(kernel, spec, args.order)
-    _write_out(json.dumps(est.to_json(), indent=1), args.out)
+    # with n and seed, enough to replay the estimate from the kernel file
+    replay = {"law": spec.law, "order": args.order, "alpha": spec.alpha, "q": spec.q, "base": spec.base}
+    _write_out(json.dumps({**est.to_json(), **replay}, indent=1), args.out)
     return 0
 
 

@@ -15,9 +15,10 @@ on one numpy build and may differ in its last bits on another.  The
 estimator is the plain empirical mean; the exact engines are the primary
 truth and this module is an independent check.
 
-The sum is evaluated on a batch by nesting it over prefixes of the sorted
-support (``_horner_plan``): one matmul for the last index, then per earlier
-index a product with the entries and a sum over each prefix's children.
+The sum is evaluated on a batch by nesting it over a greedy Horner trie of
+the support (``_horner_plan``), each node factoring out the index in the
+most of its tuples: one matmul for the last index, then per earlier level
+a product with the entries and a sum over each node's children.
 A row chunk's entries are made, and its normals drawn, just before the sum
 reads them (numpy keeps no normals between calls: one draw per batch
 gives the same values).
@@ -63,6 +64,9 @@ class SamplerSpec:
     def __post_init__(self) -> None:
         if self.law not in LAW_IDS:
             raise UnknownSampler(f"unknown sampler {self.law!r}; known: {', '.join(LAW_IDS)}")
+        for name in ("seed", "sample_count", "q"):
+            if type(getattr(self, name)) is not int:  # a float or bool seed would draw int(seed)'s stream
+                raise HomsumError(f"{name} must be an int, got {getattr(self, name)!r}")
         if not 0 <= self.seed < 1 << 128:  # a Philox key
             raise HomsumError(f"seed must lie in 0..2**128 - 1, got {self.seed}")
         if self.sample_count < 1:
@@ -217,16 +221,20 @@ def alpha_for_moment_ratio(theta: float, q: int) -> float:
 
 
 def _horner_plan(kernel: Kernel) -> tuple[np.ndarray, list]:
-    """The homogeneous sum nested by prefixes of the sorted support,
-    ``Q = sum_{i1} x_{i1} sum_{i2>i1} x_{i2} ... sum_{id} w x_{id}`` with
-    ``w = d! * value``.
+    """The homogeneous sum nested as a greedy Horner trie of the support,
+    ``Q = sum_{i1} x_{i1} sum_{i2} x_{i2} ... sum_{id} w x_{id}`` with
+    ``w = d! * value``, each sum over one node's children (Ceberio and
+    Kreinovich, "Greedy algorithms for optimizing multivariate Horner
+    schemes", ACM SIGSAM Bulletin 38(1), 2004): a node's first child is
+    the index in the most of its tuples (ties to the lowest), holding those
+    tuples without it, and the rest branch likewise.  The tuples' paths go
+    depth first, so each node's children are contiguous.
 
-    Returns the ``P_{d-1} x n`` matrix holding ``w`` at (prefix of length
-    d-1, last index), and one level per prefix length ``l = d-1, ..., 1``:
-    the last index of each ``l``-prefix, the first child of each
-    ``(l-1)``-prefix, and ``(parent, lo, hi)`` for each run of two or more
-    children (a parent's children are contiguous because the support is
-    sorted).  The empty kernel gets the zero plan of degree 1."""
+    Returns the ``P_{d-1} x n`` matrix holding ``w`` at (node of depth d-1,
+    last index), and one level per depth ``l = d-1, ..., 1``: the index of
+    each ``l``-node, the first child of each ``(l-1)``-node, and
+    ``(parent, lo, hi)`` for each run of two or more children.  The empty
+    kernel gets the zero plan of degree 1."""
     d = kernel.d
     den, nums = kernel.int_entries()
     if not nums:
@@ -235,7 +243,32 @@ def _horner_plan(kernel: Kernel) -> tuple[np.ndarray, list]:
     root = math.sqrt(kernel.scale2)
     # num / den rounds the rational once, as float(Fraction) does
     w = np.array([v / den * root * math.factorial(d) for v in nums.values()])
-    # new[l, k]: support row k starts a new prefix of length l
+    paths, order = np.empty_like(idx), []
+
+    def branch(rows, rem):  # rem: the indices of tuples ``rows`` below this node
+        m = rem.shape[1]
+        if m == 1:
+            paths[rows, -1] = rem[:, 0]
+            return order.append(rows)
+        count = np.bincount(rem.ravel(), minlength=kernel.n)
+        # the inverted index: index i's tuples are holders[cuts[i]:cuts[i + 1]]
+        holders = np.argsort(rem.ravel()) // m
+        cuts = np.concatenate(([0], np.cumsum(count)))
+        live = np.ones(len(rows), dtype=bool)
+        while count.any():
+            i = count.argmax()
+            take = holders[cuts[i] : cuts[i + 1]]
+            take = take[live[take]]
+            live[take] = False
+            child = rem[take]
+            count -= np.bincount(child.ravel(), minlength=kernel.n)
+            paths[rows[take], d - m] = i
+            branch(rows[take], child[child != i].reshape(len(take), m - 1))
+
+    branch(np.arange(len(idx)), idx)
+    order = np.concatenate(order)
+    idx, w = paths[order], w[order]
+    # new[l, k]: path k starts a new node of depth l
     new = np.zeros((d, len(idx)), dtype=bool)
     new[:, 0] = True
     for l in range(1, d):
@@ -256,7 +289,7 @@ def _horner_plan(kernel: Kernel) -> tuple[np.ndarray, list]:
 def _homogeneous_sum(kernel: Kernel, count: int, chunk) -> np.ndarray:
     """``Q(f; x)`` for rows ``0:count`` of ``x``, where ``chunk(lo, hi)``
     returns rows ``lo:hi`` transposed (``n x (hi - lo)``): one matmul for
-    the last index, then per prefix level a gather, a product and a sum
+    the last index, then per trie level a gather, a product and a sum
     over each run.  Rows go in chunks so that no intermediate holds more
     than ``_GATHER_BUDGET`` values."""
     weights, levels = kernel.derived(_horner_plan)

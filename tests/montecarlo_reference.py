@@ -21,6 +21,14 @@ def tuple_weights(kernel: Kernel) -> tuple[np.ndarray, np.ndarray]:
     return idx, w
 
 
+def sorted_prefix_counts(kernel: Kernel) -> list[int]:
+    """The row counts of the trie whose paths are the sorted support tuples:
+    its matmul rows, the distinct (d-1)-prefixes (one row for d = 1), then
+    the distinct l-prefixes for l = d-1, ..., 1, one per level."""
+    d = kernel.d
+    return [len({t[:l] for t in kernel.entries}) for l in (max(d - 1, 0), *range(d - 1, 0, -1))]
+
+
 def gather_sum(kernel: Kernel, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``Q(f; x)`` for every row of ``x``, tuple by tuple, and the sum of the
     terms' absolute values, which scales the rounding error of any

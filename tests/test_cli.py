@@ -441,6 +441,13 @@ def test_sample_rademacher_pair(pair_file, capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["mean"] == 1.0 and payload["n"] == 1000 and payload["seed"] == 7
+    # the replay parameters, defaults included
+    assert {k: payload[k] for k in ("law", "order", "alpha", "q", "base")} == {
+        "law": "rademacher", "order": 4, "alpha": 0.5, "q": 1, "base": "gaussian"}
+    argv = ["sample", pair_file, "--count", str(payload["n"]), "--seed", str(payload["seed"])]
+    argv += [a for k in ("law", "order", "alpha", "q", "base") for a in (f"--{k}", str(payload[k]))]
+    code, again, _ = run(argv, capsys)
+    assert code == 0 and json.loads(again) == payload
 
 
 def test_sample_free_regime_refused(pair_file, capsys):

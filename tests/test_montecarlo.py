@@ -28,7 +28,7 @@ from homsums import (
     random_admissible_kernel,
     sample_mixture_t,
 )
-from montecarlo_reference import formula_entries, gather_sum, tuple_weights
+from montecarlo_reference import formula_entries, gather_sum, sorted_prefix_counts, tuple_weights
 from slicing_reference import reference_kernels
 
 N_SMOKE = 200_000
@@ -49,6 +49,19 @@ def test_spec_validation():
         SamplerSpec(law="product-TX", seed=1, sample_count=10, q=16)
     with pytest.raises(UnknownSampler):
         SamplerSpec(law="product-TX", seed=1, sample_count=10, base="poisson")
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [{"seed": 1.5}, {"seed": 1.9}, {"seed": True}, {"sample_count": True}, {"sample_count": 10.0},
+     {"q": 2.0}, {"q": True}],
+    ids=["seed=1.5", "seed=1.9", "seed=True", "count=True", "count=10.0", "q=2.0", "q=True"],
+)
+def test_spec_refuses_non_int_fields(fields):
+    """A float or bool seed would draw the stream of its int value while the
+    estimate records the value given; a bool count is one sample."""
+    with pytest.raises(HomsumError, match="must be an int"):
+        SamplerSpec(**{"law": "product-TX", "seed": 1, "sample_count": 10, **fields})
 
 
 def test_seed_determinism_bit_for_bit():
@@ -260,21 +273,67 @@ def test_nested_sum_matches_gather_reference(d, budget, monkeypatch):
         assert np.all(np.abs(q - ref) <= 1e-12 * scale), name
 
 
+def trie_paths(levels) -> list[tuple[int, ...]]:
+    """The indices on the path to each node of depth d-1, by a walk of the
+    plan's levels from the root: a node's parent is the last node whose
+    first child is at or before it."""
+    paths = [()]
+    for last, starts, _ in reversed(levels):
+        parent = np.searchsorted(starts, np.arange(len(last)), side="right") - 1
+        paths = [paths[p] + (i,) for p, i in zip(parent.tolist(), last.tolist())]
+    return paths
+
+
 @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
 def test_plan_weights_equal_the_fraction_formula_bit_for_bit(d):
     """Each weight of the nested plan, built from the integer numerators,
     is ``float(entry) * sqrt(scale2) * d!`` on the ``Fraction`` entry, bit
     for bit, on exact, irrational-scale and float-mode kernels: it sits at
-    the row of its tuple's (d-1)-prefix and the column of its last index."""
+    the row of the trie node on its tuple's path and the column of the
+    path's last index."""
     for name, kernel in nested_sum_kernels(d).items():
-        weights, _ = montecarlo._horner_plan(kernel)
+        weights, levels = montecarlo._horner_plan(kernel)
         idx, want = tuple_weights(kernel)
-        assert np.count_nonzero(weights) == len(want), name
-        rows = {}
-        for t in map(tuple, idx):
-            rows.setdefault(t[:-1], len(rows))
-        got = np.array([weights[rows[tuple(t[:-1])], t[-1]] for t in idx])
-        assert np.array_equal(got, want), name
+        paths = trie_paths(levels)
+        rows, cols = np.nonzero(weights)
+        got = {tuple(sorted(paths[r] + (c,))): weights[r, c] for r, c in zip(rows.tolist(), cols.tolist())}
+        assert len(rows) == len(got) == len(want), name
+        assert np.array_equal(np.array([got[t] for t in map(tuple, idx.tolist())]), want), name
+
+
+def band_kernel(n: int) -> Kernel:
+    """Pairs at distance one or two: every sorted prefix but the last has
+    children, while the greedy trie needs only every third index or so."""
+    return Kernel(n, 2, {(i, j): 1 for i in range(1, n) for j in range(i + 1, min(i + 2, n) + 1)})
+
+
+def test_greedy_trie_sizes():
+    """The greedy trie's pinned sizes, and never a level wider than the
+    sorted-support trie's: free-clt d = 3, n = 4 has 16 matmul rows (37
+    sorted); the complete pair kernel keeps the sorted trie exactly, row i
+    holding the weights of the pairs (i, j), so its estimates keep their
+    bits."""
+    weights, levels = montecarlo._horner_plan(family_kernel(KernelFamily("free-clt", 3), 4))
+    assert len(weights) == 16 and [len(last) for last, _, _ in levels] == [16, 4]
+
+    pair = family_kernel(KernelFamily("off-diagonal-pair", 2), 24)
+    weights, [(last, starts, runs)] = montecarlo._horner_plan(pair)
+    idx, w = tuple_weights(pair)
+    sorted_weights = np.zeros((23, 24))
+    sorted_weights[idx[:, 0], idx[:, 1]] = w
+    assert np.array_equal(weights, sorted_weights)
+    assert last.tolist() == list(range(23)) and starts.tolist() == [0] and runs == [(0, 0, 23)]
+
+    band = band_kernel(200)
+    assert (len(montecarlo._horner_plan(band)[0]), sorted_prefix_counts(band)[0]) == (133, 199)
+    kernels = [("band", band)] + [(f"{name}/d{d}", k) for d in range(1, 6) for name, k in nested_sum_kernels(d).items()]
+    for name, kernel in kernels:
+        if not kernel.entries:  # the zero plan
+            continue
+        weights, levels = montecarlo._horner_plan(kernel)
+        got = [len(weights)] + [len(last) for last, _, _ in levels]
+        want = sorted_prefix_counts(kernel)
+        assert len(got) == len(want) and all(g <= s for g, s in zip(got, want)), (name, got, want)
 
 
 def philox_state(rng: np.random.Generator) -> tuple:
